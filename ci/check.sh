@@ -14,6 +14,7 @@
 #   ci/check.sh              # everything
 #   ci/check.sh plain        # just one tree (plain|asan|tsan)
 #   ci/check.sh concurrency  # concurrency lint + -Wthread-safety build
+#   ci/check.sh perfbench    # perfbench driver unit tests (no engine build)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -22,9 +23,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 ONLY="${1:-all}"
 
 case "${ONLY}" in
-  all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency) ;;
+  all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency|perfbench) ;;
   *)
-    echo "usage: ci/check.sh [all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency]" >&2
+    echo "usage: ci/check.sh [all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency|perfbench]" >&2
     echo "unknown tree '${ONLY}'" >&2
     exit 2
     ;;
@@ -341,6 +342,14 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "concurrency" ]]; then
   else
     echo "=== [concurrency] clang++ not found, skipping -Wthread-safety verification build ==="
   fi
+fi
+
+# Benchmark-harness stage (perfbench/README.md): run.py's and compare.py's
+# unit tests against a fake driver — argument handling, metric
+# derivation, count checks and verdicts — without building the engine.
+if [[ "${ONLY}" == "all" || "${ONLY}" == "perfbench" ]]; then
+  echo "=== [perfbench] perfbench harness unit tests ==="
+  python3 -m unittest discover -s "${ROOT}/perfbench/tests"
 fi
 
 # Optional lint stage: the sanitizer gates above are mandatory, clang-tidy

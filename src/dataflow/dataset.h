@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -43,6 +44,58 @@ struct JoinShuffleHints {
 struct ZipPartitionStats {
   uint64_t state_bytes = 0;
   uint64_t state_records = 0;
+};
+
+// What one exchange moved, tallied while routing records and priced by
+// Dataset::ChargeExchange — kept apart from the charge so a prepared
+// build side can replay an exchange it ran once. `in_counts` are the
+// records entering per source worker (the stage's compute; zero for a
+// broadcast, which is priced as pure network time), `out_bytes` and
+// `in_bytes` the remote bytes each worker sends and receives.
+struct ExchangeTally {
+  explicit ExchangeTally(int workers = 0)
+      : out_bytes(workers, 0), in_bytes(workers, 0), in_counts(workers, 0) {}
+
+  // Books `bytes` of one fragment routed from `source` to `target`.
+  void Add(int source, int target, uint64_t bytes) {
+    exchanged += bytes;
+    if (target != source) {
+      out_bytes[source] += bytes;
+      in_bytes[target] += bytes;
+      moved += bytes;
+    }
+  }
+
+  std::vector<uint64_t> out_bytes;
+  std::vector<uint64_t> in_bytes;
+  std::vector<uint64_t> in_counts;
+  uint64_t records = 0;    // records entering the exchange
+  uint64_t moved = 0;      // remote bytes: what the network model bills
+  uint64_t exchanged = 0;  // all bytes entering (counted when traced)
+  bool broadcast = false;  // replicated to every worker, not key-routed
+};
+
+template <typename T>
+class Dataset;
+
+// The build side of a join, exchanged and hashed once by
+// Dataset::PrepareBuild and probed any number of times by
+// Dataset::ProbeJoin. It also holds the pricing of its exchange and build
+// so that every probe charges them again: the cost model sees each probe
+// as a fresh HashJoin.
+template <typename U, typename K>
+class JoinBuildSide {
+ private:
+  template <typename>
+  friend class Dataset;
+
+  // The exchanged records; the per-partition tables point into them.
+  std::shared_ptr<const std::vector<std::vector<U>>> parts_;
+  std::vector<std::unordered_multimap<K, const U*>> tables_;
+  ExchangeTally exchange_;        // unless adopted in place
+  bool prepartitioned_ = false;   // adopted: replays as an elided shuffle
+  std::vector<uint64_t> state_bytes_;  // serialized bytes hashed per worker
+  uint64_t bytes_ = 0;                 // their sum: the staged build input
 };
 
 // A distributed dataset: `num_workers` partitions, partition i owned by
@@ -319,86 +372,99 @@ class Dataset {
                         JoinStrategy strategy = JoinStrategy::kRepartition,
                         const char* label = "Join",
                         JoinShuffleHints hints = {}) const {
-    using K = std::decay_t<std::invoke_result_t<KeyL, const T&>>;
-    static_assert(
-        std::is_same_v<K, std::decay_t<std::invoke_result_t<KeyR, const U&>>>,
-        "join key types must match");
+    const auto build = right.PrepareBuild(key_right, strategy, label,
+                                          hints.right_prepartitioned);
+    return ProbeJoin<Out>(build, key_left, joiner, label,
+                          hints.left_prepartitioned);
+  }
 
-    const int p = num_partitions();
-    auto out = std::make_shared<typename Dataset<Out>::Partitions>(p);
-
-    // Phase 1: distribute both inputs.
-    typename Dataset<T>::Partitions left_parts;
-    typename Dataset<U>::Partitions right_parts;
-    if (strategy == JoinStrategy::kRepartition) {
-      if (hints.left_prepartitioned) {
-        AdoptPrepartitioned(key_left, *partitions_, &left_parts, label);
-      } else {
-        left_parts.resize(p);
-        ShuffleInto(key_left, *partitions_, &left_parts, label);
-      }
-      if (hints.right_prepartitioned) {
-        AdoptPrepartitioned(key_right, *right.partitions_, &right_parts,
-                            label);
-      } else {
-        right_parts.resize(p);
-        ShuffleIntoOther(key_right, right, &right_parts, label);
-      }
+  // Exchanges this dataset as the build side of a join (hash-partitioned
+  // on `key`, or replicated to every worker under kBroadcast) and hashes
+  // every partition once, so that several probes can share it — Flink
+  // caches such a loop-invariant input of a bulk iteration instead of
+  // re-shuffling it every superstep. Charges nothing: each ProbeJoin
+  // charges the exchange and the build as if it had run them itself.
+  // `prepartitioned` adopts the layout in place (a shuffle the
+  // partitioning analysis elided; audited like HashJoin's hints).
+  template <typename KeyFn>
+  auto PrepareBuild(KeyFn key, JoinStrategy strategy, const char* label,
+                    bool prepartitioned = false) const {
+    using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
+    const double span_begin_us = SpanBegin();
+    JoinBuildSide<T, K> build;
+    if (strategy == JoinStrategy::kBroadcast) {
+      auto parts = std::make_shared<Partitions>();
+      build.exchange_ = ReplicateInto(*partitions_, parts.get());
+      build.parts_ = std::move(parts);
+    } else if (prepartitioned) {
+      AuditPrepartitioned(key, *partitions_, label);
+      build.prepartitioned_ = true;
+      build.parts_ = partitions_;
     } else {
-      left_parts = *partitions_;  // stays in place
-      const bool traced = ctx_->telemetry().enabled();
-      const double span_begin_us =
-          traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-      // Broadcast: every worker receives the full right side.
-      std::vector<U> all_right;
-      for (int i = 0; i < p; ++i) {
-        all_right.insert(all_right.end(), right.partition(i).begin(),
-                         right.partition(i).end());
+      auto parts = std::make_shared<Partitions>();
+      build.exchange_ = RouteByKey(key, *partitions_, parts.get());
+      build.parts_ = std::move(parts);
+    }
+    const int p = num_partitions();
+    build.tables_.resize(p);
+    build.state_bytes_.assign(p, 0);
+    common::CancellationToken& cancel = ctx_->cancellation();
+    const std::string build_label = std::string(label) + "/Build";
+    RunPerPartition(build_label.c_str(), [&](int part) {
+      const auto& rsrc = (*build.parts_)[part];
+      auto& table = build.tables_[part];
+      table.reserve(rsrc.size());
+      uint64_t bytes = 0;
+      for (const T& rec : rsrc) {
+        if (cancel.CheckCancelled()) break;
+        table.emplace(key(rec), &rec);
+        bytes += RecordBytes(rec);
       }
-      right_parts.assign(p, all_right);
-      // Network: worker w sends its right-partition to the (p-1) others
-      // and receives everyone else's.
-      std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-      uint64_t total_bytes = 0;
-      for (int i = 0; i < p; ++i) {
-        uint64_t b = 0;
-        // cancellation: cost-model byte walk over the staged build side;
-        // the build/probe loops below poll once per record.
-        for (const U& rec : right.partition(i)) b += RecordBytes(rec);
-        out_bytes[i] = b * (p - 1);
-        total_bytes += b;
-      }
-      for (int i = 0; i < p; ++i) {
-        uint64_t own = 0;
-        // cancellation: cost-model byte walk (see above).
-        for (const U& rec : right.partition(i)) own += RecordBytes(rec);
-        in_bytes[i] = total_bytes - own;
-      }
-      StageCost bc;
-      bc.label = std::string(label) + "/Broadcast";
-      bc.network_sec = ShuffleSeconds(out_bytes, in_bytes, ctx_->config());
-      bc.latency_sec = ctx_->config().stage_latency_sec;
-      ctx_->tracker().AddStage(bc);
-      uint64_t moved = 0;
-      for (uint64_t b : out_bytes) moved += b;
-      ctx_->tracker().AddNetworkBytes(moved);
-      // Every build-side record enters the broadcast exchange once, just
-      // like a record entering a repartition shuffle (ShuffleInto counts
-      // its inputs the same way) — without this the per-operator record
-      // accounting was asymmetric between the two join strategies.
-      ctx_->tracker().AddRecords(static_cast<uint64_t>(all_right.size()));
-      if (traced) {
-        telemetry::Telemetry& tel = ctx_->telemetry();
-        tel.tracer().AddSpan(bc.label, telemetry::kCategoryStage,
-                             span_begin_us, tel.tracer().NowMicros(),
-                             /*worker=*/-1,
-                             {{"bytes", static_cast<double>(moved)}});
-        tel.metrics().AddCounter("shuffle.count", 1);
-        // A broadcast never exchanges locally: every byte entering it is
-        // sent to the (p-1) other workers, so both counters equal moved.
-        tel.metrics().AddCounter("shuffle.bytes", moved);
-        tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-      }
+      build.state_bytes_[part] = bytes;
+    });
+    for (const uint64_t b : build.state_bytes_) build.bytes_ += b;
+    if (ctx_->telemetry().enabled()) {
+      telemetry::Telemetry& tel = ctx_->telemetry();
+      tel.tracer().AddSpan(std::string(label) + "/PrepareBuild",
+                           telemetry::kCategoryStage, span_begin_us,
+                           tel.tracer().NowMicros(), /*worker=*/-1,
+                           {{"bytes", static_cast<double>(build.bytes_)}});
+    }
+    return build;
+  }
+
+  // Joins this dataset (the probe side) against a prepared build side and
+  // prices exactly like one HashJoin: the probe side's exchange (none
+  // under a broadcast build; adopted in place when `left_prepartitioned`),
+  // then the build side's exchange replayed, then one build/probe stage
+  // whose staged inputs and table entries charge the accountant. When
+  // `probe_side` is set it receives the probe input as exchanged, so
+  // joiner outputs may keep pointers to the probe records they came from.
+  template <typename Out, typename U, typename K, typename KeyL,
+            typename Joiner>
+  Dataset<Out> ProbeJoin(const JoinBuildSide<U, K>& build, KeyL key_left,
+                         Joiner joiner, const char* label = "Join",
+                         bool left_prepartitioned = false,
+                         Dataset<T>* probe_side = nullptr) const {
+    static_assert(
+        std::is_same_v<K, std::decay_t<std::invoke_result_t<KeyL, const T&>>>,
+        "join key types must match");
+    const int p = num_partitions();
+    assert(p == static_cast<int>(build.tables_.size()));
+    std::shared_ptr<Partitions> left_parts = partitions_;
+    if (build.exchange_.broadcast) {
+      // Broadcast: the probe side stays in place.
+    } else if (left_prepartitioned) {
+      AuditPrepartitioned(key_left, *partitions_, label);
+      NoteElidedShuffle(*partitions_, label);
+    } else {
+      left_parts = std::make_shared<Partitions>();
+      ShuffleInto(key_left, *partitions_, left_parts.get(), label);
+    }
+    if (build.prepartitioned_) {
+      NoteElidedShuffle(*build.parts_, label);
+    } else {
+      ChargeExchange(build.exchange_, label, SpanBegin());
     }
 
     // Memory accounting (driver thread; see memory_accountant.h): the
@@ -409,35 +475,19 @@ class Dataset {
     MemoryAccountant& accountant = ctx_->accountant();
     uint64_t staged_bytes = 0;
     if (accountant.enabled()) {
-      // cancellation: accounting byte walk over staged inputs; only runs
-      // with memory accounting on, and the join loops below poll.
-      for (const auto& part : left_parts) {
-        for (const T& rec : part) staged_bytes += RecordBytes(rec);
-      }
-      for (const auto& part : right_parts) {
-        for (const U& rec : part) staged_bytes += RecordBytes(rec);
-      }
+      staged_bytes = TotalBytes(*left_parts) + build.bytes_;
       accountant.Charge(staged_bytes);
     }
 
-    // Phase 2: per-worker build + probe.
+    auto out = std::make_shared<typename Dataset<Out>::Partitions>(p);
     std::vector<uint64_t> work(p, 0);
     std::vector<uint64_t> out_counts(p, 0);
-    std::vector<uint64_t> state_bytes(p, 0);
     std::vector<uint64_t> state_records(p, 0);
     const std::string build_probe_label = std::string(label) + "/BuildProbe";
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition(build_probe_label.c_str(), [&](int part) {
-      const auto& lsrc = left_parts[part];
-      const auto& rsrc = right_parts[part];
-      std::unordered_multimap<K, const U*> table;
-      table.reserve(rsrc.size());
-      uint64_t bytes = 0;
-      for (const U& rec : rsrc) {
-        if (cancel.CheckCancelled()) break;
-        table.emplace(key_right(rec), &rec);
-        bytes += RecordBytes(rec);
-      }
+      const auto& lsrc = (*left_parts)[part];
+      const auto& table = build.tables_[part];
       auto& dst = (*out)[part];
       for (const T& lrec : lsrc) {
         if (cancel.CheckCancelled()) break;
@@ -445,48 +495,14 @@ class Dataset {
         // cancellation: matches of one probe row; outer loop polls per row.
         for (; it != end; ++it) joiner(lrec, *it->second, &dst);
       }
-      work[part] = lsrc.size() + rsrc.size();
+      state_records[part] = (*build.parts_)[part].size();
+      work[part] = lsrc.size() + state_records[part];
       out_counts[part] = dst.size();
-      state_bytes[part] = bytes;
-      state_records[part] = rsrc.size();
     });
-
-    // Compute + spill accounting for the build/probe stage.
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = std::string(label) + "/BuildProbe";
-    uint64_t total_in = 0, total_out = 0;
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst, static_cast<double>(work[i] + out_counts[i]) *
-                                  cfg.seconds_per_record);
-      total_in += work[i];
-      total_out += out_counts[i];
-    }
-    cost.compute_sec = worst;
-    uint64_t spilled = 0;
-    cost.spill_sec = SpillSeconds(state_bytes, state_records, cfg, &spilled);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddRecords(total_in + total_out);
-    ctx_->tracker().AddSpilledBytes(spilled);
-    if (accountant.enabled()) {
-      // The per-worker hash tables held one entry per build row; charging
-      // after the stage still registers the momentary high in the peak.
-      uint64_t table_entries = 0;
-      for (const uint64_t n : state_records) table_entries += n;
-      const uint64_t table_bytes = table_entries * kHashTableEntryBytes;
-      accountant.Charge(table_bytes);
-      accountant.Release(staged_bytes + table_bytes);
-    }
-    if (ctx_->telemetry().enabled()) {
-      auto& metrics = ctx_->telemetry().metrics();
-      metrics.AddCounter("stage.count", 1);
-      metrics.AddCounter("stage.records_in", total_in);
-      if (spilled > 0) metrics.AddCounter("spill.bytes", spilled);
-      for (const uint64_t n : work) {
-        metrics.Observe("stage.partition_records", static_cast<double>(n));
-      }
+    ChargeBuildProbe(build_probe_label, work, out_counts, build.state_bytes_,
+                     state_records, staged_bytes);
+    if (probe_side != nullptr) {
+      *probe_side = Dataset<T>(ctx_, std::move(left_parts));
     }
     return Dataset<Out>(ctx_, std::move(out));
   }
@@ -496,126 +512,33 @@ class Dataset {
   // appends (target, fragment) pairs. The columnar batch engine scatters
   // through this — the fragments are sub-batches holding only the
   // selected rows routed to each worker, so a filtered batch never
-  // serializes its dead rows into the exchange. Accounting mirrors
-  // ShuffleInto: every fragment enters the exchange, only fragments
-  // landing on a different worker are billed as network traffic, and the
-  // shuffle.* telemetry counters cover the fragment bytes.
+  // serializes its dead rows into the exchange. Priced like ShuffleInto:
+  // every fragment enters the exchange, only fragments landing on a
+  // different worker are billed as network traffic.
   template <typename Splitter>
   Dataset<T> ScatterShuffle(Splitter splitter,
                             const char* label = "Scatter") const {
-    const bool traced = ctx_->telemetry().enabled();
-    const double span_begin_us =
-        traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-    const int p = num_partitions();
-    auto out = std::make_shared<Partitions>(p);
-    std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-    std::vector<uint64_t> in_counts(p, 0);
-    uint64_t moved = 0;
-    uint64_t exchanged = 0;
+    const double span_begin_us = SpanBegin();
+    auto out = std::make_shared<Partitions>();
     std::vector<std::pair<int, T>> frags;
-    common::CancellationToken& cancel = ctx_->cancellation();
-    for (int i = 0; i < p; ++i) {
-      in_counts[i] = (*partitions_)[i].size();
-      for (const T& rec : (*partitions_)[i]) {
-        if (cancel.CheckCancelled()) break;
-        frags.clear();
-        splitter(rec, i, &frags);
-        for (auto& [target, frag] : frags) {
-          assert(target >= 0 && target < p);
-          const uint64_t b = (traced || target != i) ? RecordBytes(frag) : 0;
-          if (traced) exchanged += b;
-          if (target != i) {
-            out_bytes[i] += b;
-            in_bytes[target] += b;
-            moved += b;
-          }
-          (*out)[target].push_back(std::move(frag));
-        }
-      }
-    }
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = std::string(label) + "/Shuffle";
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(
-          worst, static_cast<double>(in_counts[i]) * cfg.seconds_per_record);
-    }
-    cost.compute_sec = worst;
-    cost.network_sec = ShuffleSeconds(out_bytes, in_bytes, cfg);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddNetworkBytes(moved);
-    uint64_t total = 0;
-    for (uint64_t n : in_counts) total += n;
-    ctx_->tracker().AddRecords(total);
-    if (traced) {
-      telemetry::Telemetry& tel = ctx_->telemetry();
-      tel.tracer().AddSpan(
-          cost.label, telemetry::kCategoryStage, span_begin_us,
-          tel.tracer().NowMicros(), /*worker=*/-1,
-          {{"bytes", static_cast<double>(exchanged)},
-           {"remote_bytes", static_cast<double>(moved)},
-           {"records", static_cast<double>(total)}});
-      tel.metrics().AddCounter("shuffle.count", 1);
-      tel.metrics().AddCounter("shuffle.bytes", exchanged);
-      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-    }
+    const ExchangeTally tally = Route(
+        *partitions_, out.get(), [&](const T& rec, int source, auto deliver) {
+          frags.clear();
+          splitter(rec, source, &frags);
+          for (auto& [target, frag] : frags) deliver(target, std::move(frag));
+        });
+    ChargeExchange(tally, label, span_begin_us);
     return Dataset<T>(ctx_, std::move(out));
   }
 
   // Every worker receives every record — the standalone counterpart of
-  // the broadcast exchange HashJoin's kBroadcast strategy performs
-  // inline, with identical network accounting and telemetry. The batch
+  // HashJoin's kBroadcast build side, with identical pricing. The batch
   // join kernels broadcast whole column batches through this.
   Dataset<T> Replicate(const char* label = "Replicate") const {
-    const int p = num_partitions();
-    const bool traced = ctx_->telemetry().enabled();
-    const double span_begin_us =
-        traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-    std::vector<T> all;
-    for (int i = 0; i < p; ++i) {
-      all.insert(all.end(), (*partitions_)[i].begin(),
-                 (*partitions_)[i].end());
-    }
+    const double span_begin_us = SpanBegin();
     auto out = std::make_shared<Partitions>();
-    out->assign(p, all);
-    // Network: worker w sends its partition to the (p-1) others and
-    // receives everyone else's (the HashJoin broadcast formula).
-    std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-    uint64_t total_bytes = 0;
-    for (int i = 0; i < p; ++i) {
-      uint64_t b = 0;
-      // cancellation: cost-model byte walk; the consuming kernel polls.
-      for (const T& rec : (*partitions_)[i]) b += RecordBytes(rec);
-      out_bytes[i] = b * (p - 1);
-      total_bytes += b;
-    }
-    for (int i = 0; i < p; ++i) {
-      uint64_t own = 0;
-      // cancellation: cost-model byte walk (see above).
-      for (const T& rec : (*partitions_)[i]) own += RecordBytes(rec);
-      in_bytes[i] = total_bytes - own;
-    }
-    StageCost bc;
-    bc.label = std::string(label) + "/Broadcast";
-    bc.network_sec = ShuffleSeconds(out_bytes, in_bytes, ctx_->config());
-    bc.latency_sec = ctx_->config().stage_latency_sec;
-    ctx_->tracker().AddStage(bc);
-    uint64_t moved = 0;
-    for (uint64_t b : out_bytes) moved += b;
-    ctx_->tracker().AddNetworkBytes(moved);
-    ctx_->tracker().AddRecords(static_cast<uint64_t>(all.size()));
-    if (traced) {
-      telemetry::Telemetry& tel = ctx_->telemetry();
-      tel.tracer().AddSpan(bc.label, telemetry::kCategoryStage,
-                           span_begin_us, tel.tracer().NowMicros(),
-                           /*worker=*/-1,
-                           {{"bytes", static_cast<double>(moved)}});
-      tel.metrics().AddCounter("shuffle.count", 1);
-      tel.metrics().AddCounter("shuffle.bytes", moved);
-      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-    }
+    ChargeExchange(ReplicateInto(*partitions_, out.get()), label,
+                   span_begin_us);
     return Dataset<T>(ctx_, std::move(out));
   }
 
@@ -636,17 +559,7 @@ class Dataset {
     MemoryAccountant& accountant = ctx_->accountant();
     uint64_t staged_bytes = 0;
     if (accountant.enabled()) {
-      for (int i = 0; i < p; ++i) {
-        // cancellation: accounting byte walk; the zip callback's kernel
-        // loops poll once per record.
-        for (const T& rec : (*partitions_)[i]) {
-          staged_bytes += RecordBytes(rec);
-        }
-        // cancellation: accounting byte walk (see above).
-        for (const U& rec : right.partition(i)) {
-          staged_bytes += RecordBytes(rec);
-        }
-      }
+      staged_bytes = TotalBytes(*partitions_) + TotalBytes(*right.partitions_);
       accountant.Charge(staged_bytes);
     }
     std::vector<uint64_t> work(p, 0);
@@ -663,40 +576,8 @@ class Dataset {
       state_bytes[part] = st.state_bytes;
       state_records[part] = st.state_records;
     });
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = stage_label;
-    uint64_t total_in = 0, total_out = 0;
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst, static_cast<double>(work[i] + out_counts[i]) *
-                                  cfg.seconds_per_record);
-      total_in += work[i];
-      total_out += out_counts[i];
-    }
-    cost.compute_sec = worst;
-    uint64_t spilled = 0;
-    cost.spill_sec = SpillSeconds(state_bytes, state_records, cfg, &spilled);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddRecords(total_in + total_out);
-    ctx_->tracker().AddSpilledBytes(spilled);
-    if (accountant.enabled()) {
-      uint64_t table_entries = 0;
-      for (const uint64_t n : state_records) table_entries += n;
-      const uint64_t table_bytes = table_entries * kHashTableEntryBytes;
-      accountant.Charge(table_bytes);
-      accountant.Release(staged_bytes + table_bytes);
-    }
-    if (ctx_->telemetry().enabled()) {
-      auto& metrics = ctx_->telemetry().metrics();
-      metrics.AddCounter("stage.count", 1);
-      metrics.AddCounter("stage.records_in", total_in);
-      if (spilled > 0) metrics.AddCounter("spill.bytes", spilled);
-      for (const uint64_t n : work) {
-        metrics.Observe("stage.partition_records", static_cast<double>(n));
-      }
-    }
+    ChargeBuildProbe(stage_label, work, out_counts, state_bytes, state_records,
+                     staged_bytes);
     return Dataset<Out>(ctx_, std::move(out));
   }
 
@@ -718,13 +599,28 @@ class Dataset {
   uint64_t ChargeTransient(const Dataset<U>& staged) const {
     MemoryAccountant& accountant = ctx_->accountant();
     if (!accountant.enabled()) return 0;
-    uint64_t bytes = 0;
-    for (int i = 0; i < staged.num_partitions(); ++i) {
-      // cancellation: accounting byte walk; the consuming kernel polls.
-      for (const U& rec : staged.partition(i)) bytes += RecordBytes(rec);
-    }
+    const uint64_t bytes = TotalBytes(*staged.partitions_);
     accountant.Charge(bytes);
     return bytes;
+  }
+
+  // Serialized bytes of every record in `parts`.
+  template <typename Rec>
+  static uint64_t TotalBytes(const std::vector<std::vector<Rec>>& parts) {
+    uint64_t bytes = 0;
+    for (const auto& part : parts) {
+      // cancellation: cost-model/accounting byte walk over staged records;
+      // the kernel consuming them polls once per record.
+      for (const Rec& rec : part) bytes += RecordBytes(rec);
+    }
+    return bytes;
+  }
+
+  // Tracer timestamp opening a driver-side stage span (0 when untraced).
+  double SpanBegin() const {
+    return ctx_->telemetry().enabled()
+               ? ctx_->telemetry().tracer().NowMicros()
+               : 0.0;
   }
 
   // Runs fn(p) for each partition index on the host pool. The label only
@@ -788,127 +684,219 @@ class Dataset {
     }
   }
 
-  // Hash-shuffles `src` partitions into `dst` partitions by key, charging
-  // network time for records that change workers.
+  // Prices one per-worker build/probe stage: compute is the slowest
+  // worker's input plus output records, the build state feeds the spill
+  // model, and the accountant — already holding `staged_bytes` of staged
+  // inputs — is charged one kHashTableEntryBytes per build row before
+  // everything releases (charging after the stage still registers the
+  // momentary high in the peak).
+  void ChargeBuildProbe(const std::string& label,
+                        const std::vector<uint64_t>& work,
+                        const std::vector<uint64_t>& out_counts,
+                        const std::vector<uint64_t>& state_bytes,
+                        const std::vector<uint64_t>& state_records,
+                        uint64_t staged_bytes) const {
+    const auto& cfg = ctx_->config();
+    StageCost cost;
+    cost.label = label;
+    uint64_t total_in = 0, total_out = 0;
+    double worst = 0.0;
+    for (size_t i = 0; i < work.size(); ++i) {
+      worst = std::max(worst, static_cast<double>(work[i] + out_counts[i]) *
+                                  cfg.seconds_per_record);
+      total_in += work[i];
+      total_out += out_counts[i];
+    }
+    cost.compute_sec = worst;
+    uint64_t spilled = 0;
+    cost.spill_sec = SpillSeconds(state_bytes, state_records, cfg, &spilled);
+    cost.latency_sec = cfg.stage_latency_sec;
+    ctx_->tracker().AddStage(cost);
+    ctx_->tracker().AddRecords(total_in + total_out);
+    ctx_->tracker().AddSpilledBytes(spilled);
+    MemoryAccountant& accountant = ctx_->accountant();
+    if (accountant.enabled()) {
+      uint64_t table_entries = 0;
+      for (const uint64_t n : state_records) table_entries += n;
+      const uint64_t table_bytes = table_entries * kHashTableEntryBytes;
+      accountant.Charge(table_bytes);
+      accountant.Release(staged_bytes + table_bytes);
+    }
+    if (ctx_->telemetry().enabled()) {
+      auto& metrics = ctx_->telemetry().metrics();
+      metrics.AddCounter("stage.count", 1);
+      metrics.AddCounter("stage.records_in", total_in);
+      if (spilled > 0) metrics.AddCounter("spill.bytes", spilled);
+      for (const uint64_t n : work) {
+        metrics.Observe("stage.partition_records", static_cast<double>(n));
+      }
+    }
+  }
+
+  // Moves every record of `src` into `dst` through `route(record, source,
+  // deliver)`, which calls deliver(target, fragment) once per fragment it
+  // sends. Charges nothing; the returned tally is what ChargeExchange
+  // prices. Only the cost model distinguishes local from remote delivery:
+  // the shuffle.bytes counter (Flink's numBytesOut) covers every fragment
+  // entering the exchange, local channels included — the volume an
+  // elided shuffle avoids serializing — so untraced local fragments skip
+  // the size computation entirely.
+  template <typename Rec, typename Frag, typename RouteFn>
+  ExchangeTally Route(const std::vector<std::vector<Rec>>& src,
+                      std::vector<std::vector<Frag>>* dst,
+                      RouteFn route) const {
+    const int p = num_partitions();
+    const bool traced = ctx_->telemetry().enabled();
+    dst->assign(p, {});
+    ExchangeTally tally(p);
+    common::CancellationToken& cancel = ctx_->cancellation();
+    for (int i = 0; i < p; ++i) {
+      tally.in_counts[i] = src[i].size();
+      tally.records += src[i].size();
+      for (const Rec& rec : src[i]) {
+        if (cancel.CheckCancelled()) break;
+        route(rec, i, [&](int target, auto&& frag) {
+          assert(target >= 0 && target < p);
+          tally.Add(i, target,
+                    (traced || target != i) ? RecordBytes(frag) : 0);
+          (*dst)[target].push_back(std::forward<decltype(frag)>(frag));
+        });
+      }
+    }
+    return tally;
+  }
+
+  // Routes `src` to hash(key(record)) % p (see Route).
+  template <typename KeyFn, typename Rec>
+  ExchangeTally RouteByKey(KeyFn key, const std::vector<std::vector<Rec>>& src,
+                           std::vector<std::vector<Rec>>* dst) const {
+    using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
+    const std::hash<K> hasher;
+    const size_t p = static_cast<size_t>(num_partitions());
+    return Route(src, dst, [&](const Rec& rec, int, auto deliver) {
+      deliver(static_cast<int>(hasher(key(rec)) % p), rec);
+    });
+  }
+
+  // Copies every record of `src` to every worker. Worker w sends its
+  // partition to the (p-1) others and receives everyone else's; the
+  // exchange is pure network time (no per-record compute is charged) and
+  // every byte entering it is remote.
+  template <typename Rec>
+  ExchangeTally ReplicateInto(const std::vector<std::vector<Rec>>& src,
+                              std::vector<std::vector<Rec>>* dst) const {
+    const int p = num_partitions();
+    std::vector<Rec> all;
+    for (int i = 0; i < p; ++i) {
+      all.insert(all.end(), src[i].begin(), src[i].end());
+    }
+    dst->assign(p, all);
+    ExchangeTally tally(p);
+    tally.broadcast = true;
+    tally.records = all.size();
+    std::vector<uint64_t> own(p, 0);
+    uint64_t total_bytes = 0;
+    for (int i = 0; i < p; ++i) {
+      // cancellation: cost-model byte walk; the consuming kernel polls.
+      for (const Rec& rec : src[i]) own[i] += RecordBytes(rec);
+      tally.out_bytes[i] = own[i] * (p - 1);
+      total_bytes += own[i];
+    }
+    for (int i = 0; i < p; ++i) {
+      tally.in_bytes[i] = total_bytes - own[i];
+      tally.moved += tally.out_bytes[i];
+    }
+    tally.exchanged = tally.moved;
+    return tally;
+  }
+
+  // Hash-shuffles `src` partitions into `dst` partitions by key and
+  // charges the exchange.
   template <typename KeyFn, typename Rec>
   void ShuffleInto(KeyFn key, const std::vector<std::vector<Rec>>& src,
                    std::vector<std::vector<Rec>>* dst,
                    const char* label) const {
-    const bool traced = ctx_->telemetry().enabled();
-    const double span_begin_us =
-        traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-    const int p = num_partitions();
-    dst->assign(p, {});
-    std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-    std::vector<uint64_t> in_counts(p, 0);
-    uint64_t moved = 0;
-    uint64_t exchanged = 0;
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
-    std::hash<K> hasher;
-    common::CancellationToken& cancel = ctx_->cancellation();
-    for (int i = 0; i < p; ++i) {
-      in_counts[i] = src[i].size();
-      for (const Rec& rec : src[i]) {
-        if (cancel.CheckCancelled()) break;
-        const int target = static_cast<int>(hasher(key(rec)) % p);
-        // Only the cost model distinguishes local from remote delivery;
-        // the shuffle.bytes counter (Flink's numBytesOut) covers every
-        // record entering the exchange, local channels included — that is
-        // the volume an elided shuffle avoids serializing. Skip the size
-        // computation entirely for untraced local records.
-        const uint64_t b =
-            (traced || target != i) ? RecordBytes(rec) : 0;
-        if (traced) exchanged += b;
-        if (target != i) {
-          out_bytes[i] += b;
-          in_bytes[target] += b;
-          moved += b;
-        }
-        (*dst)[target].push_back(rec);
-      }
-    }
+    const double span_begin_us = SpanBegin();
+    ChargeExchange(RouteByKey(key, src, dst), label, span_begin_us);
+  }
+
+  // Charges one exchange's stage (compute = slowest source worker's
+  // records, network = ShuffleSeconds over the remote bytes), its network
+  // bytes and input records, and — traced — its stage span and the
+  // shuffle.* counters.
+  void ChargeExchange(const ExchangeTally& tally, const char* label,
+                      double span_begin_us) const {
     const auto& cfg = ctx_->config();
     StageCost cost;
-    cost.label = std::string(label) + "/Shuffle";
+    cost.label =
+        std::string(label) + (tally.broadcast ? "/Broadcast" : "/Shuffle");
     double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst,
-                       static_cast<double>(in_counts[i]) * cfg.seconds_per_record);
+    for (const uint64_t n : tally.in_counts) {
+      worst = std::max(worst, static_cast<double>(n) * cfg.seconds_per_record);
     }
     cost.compute_sec = worst;
-    cost.network_sec = ShuffleSeconds(out_bytes, in_bytes, cfg);
+    cost.network_sec = ShuffleSeconds(tally.out_bytes, tally.in_bytes, cfg);
     cost.latency_sec = cfg.stage_latency_sec;
     ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddNetworkBytes(moved);
-    uint64_t total = 0;
-    for (uint64_t n : in_counts) total += n;
-    ctx_->tracker().AddRecords(total);
-    if (traced) {
+    ctx_->tracker().AddNetworkBytes(tally.moved);
+    ctx_->tracker().AddRecords(tally.records);
+    if (ctx_->telemetry().enabled()) {
       telemetry::Telemetry& tel = ctx_->telemetry();
       tel.tracer().AddSpan(
           cost.label, telemetry::kCategoryStage, span_begin_us,
           tel.tracer().NowMicros(), /*worker=*/-1,
-          {{"bytes", static_cast<double>(exchanged)},
-           {"remote_bytes", static_cast<double>(moved)},
-           {"records", static_cast<double>(total)}});
+          {{"bytes", static_cast<double>(tally.exchanged)},
+           {"remote_bytes", static_cast<double>(tally.moved)},
+           {"records", static_cast<double>(tally.records)}});
       tel.metrics().AddCounter("shuffle.count", 1);
-      tel.metrics().AddCounter("shuffle.bytes", exchanged);
-      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
+      tel.metrics().AddCounter("shuffle.bytes", tally.exchanged);
+      tel.metrics().AddCounter("shuffle.bytes.remote", tally.moved);
     }
   }
 
-  // Adopts `src` as the already-partitioned join-side layout: the
-  // partitioning analysis proved every record sits at hash(key) % p, so
-  // no exchange runs, no stage is charged and no network bytes accrue.
-  // Counters record what was saved; with GRADOOP_AUDIT_PARTITIONING set,
-  // every record is re-hashed and the process hard-fails on the first
-  // one the proof misplaced.
+  // Checks the partitioning analysis's claim that every record of `src`
+  // already sits at hash(key) % p. Only with GRADOOP_AUDIT_PARTITIONING
+  // set: every record is re-hashed and the process hard-fails on the
+  // first one the proof misplaced.
   template <typename KeyFn, typename Rec>
-  void AdoptPrepartitioned(KeyFn key,
+  void AuditPrepartitioned(KeyFn key,
                            const std::vector<std::vector<Rec>>& src,
-                           std::vector<std::vector<Rec>>* dst,
                            const char* label) const {
-    if (PartitioningAuditEnabled()) {
-      uint64_t checked = 0;
-      const uint64_t misplaced = CountMisplacedRecords(src, key, &checked);
-      PartitioningAuditStats::Instance().RecordCheck(checked, misplaced);
-      if (misplaced != 0) {
-        std::fprintf(stderr,
-                     "[gradoop] partitioning audit FAILED at %s: %llu of "
-                     "%llu records of an elided shuffle sit in the wrong "
-                     "partition — the partitioning analysis is unsound\n",
-                     label, static_cast<unsigned long long>(misplaced),
-                     static_cast<unsigned long long>(checked));
-        std::abort();
-      }
-    }
-    *dst = src;
-    if (ctx_->telemetry().enabled()) {
-      uint64_t bytes = 0, records = 0;
-      // cancellation: telemetry byte walk over an adopted (zero-copy)
-      // shuffle; the join kernel consuming the adopted layout polls.
-      for (const auto& part : src) {
-        records += part.size();
-        for (const Rec& rec : part) bytes += RecordBytes(rec);
-      }
-      telemetry::Telemetry& tel = ctx_->telemetry();
-      tel.metrics().AddCounter("shuffle.elided.count", 1);
-      tel.metrics().AddCounter("shuffle.elided.bytes", bytes);
-      const double now_us = tel.tracer().NowMicros();
-      tel.tracer().AddSpan(std::string(label) + "/ShuffleElided",
-                           telemetry::kCategoryStage, now_us, now_us,
-                           /*worker=*/-1,
-                           {{"bytes_saved", static_cast<double>(bytes)},
-                            {"records", static_cast<double>(records)}});
+    if (!PartitioningAuditEnabled()) return;
+    uint64_t checked = 0;
+    const uint64_t misplaced = CountMisplacedRecords(src, key, &checked);
+    PartitioningAuditStats::Instance().RecordCheck(checked, misplaced);
+    if (misplaced != 0) {
+      std::fprintf(stderr,
+                   "[gradoop] partitioning audit FAILED at %s: %llu of "
+                   "%llu records of an elided shuffle sit in the wrong "
+                   "partition — the partitioning analysis is unsound\n",
+                   label, static_cast<unsigned long long>(misplaced),
+                   static_cast<unsigned long long>(checked));
+      std::abort();
     }
   }
 
-  // Same as ShuffleInto but reads from another dataset's partitions.
-  template <typename KeyFn, typename U>
-  void ShuffleIntoOther(KeyFn key, const Dataset<U>& other,
-                        std::vector<std::vector<U>>* dst,
-                        const char* label) const {
-    ShuffleInto(key, *other.partitions_, dst, label);
+  // Records an exchange the partitioning analysis elided: `src` is
+  // adopted as the join-side layout, so no stage is charged and no
+  // network bytes accrue; traced, the counters record what was saved.
+  template <typename Rec>
+  void NoteElidedShuffle(const std::vector<std::vector<Rec>>& src,
+                         const char* label) const {
+    if (!ctx_->telemetry().enabled()) return;
+    uint64_t records = 0;
+    // cancellation: O(partitions) size walk, no per-record work.
+    for (const auto& part : src) records += part.size();
+    const uint64_t bytes = TotalBytes(src);
+    telemetry::Telemetry& tel = ctx_->telemetry();
+    tel.metrics().AddCounter("shuffle.elided.count", 1);
+    tel.metrics().AddCounter("shuffle.elided.bytes", bytes);
+    const double now_us = tel.tracer().NowMicros();
+    tel.tracer().AddSpan(std::string(label) + "/ShuffleElided",
+                         telemetry::kCategoryStage, now_us, now_us,
+                         /*worker=*/-1,
+                         {{"bytes_saved", static_cast<double>(bytes)},
+                          {"records", static_cast<double>(records)}});
   }
 
   ExecutionContextPtr ctx_;

@@ -220,7 +220,7 @@ BatchDataset ScatterBatches(const BatchDataset& data,
 
 // Adopts an input the partitioning analysis proved co-partitioned on the
 // join key: no exchange, no stage, no network bytes. Mirrors the row
-// engine's AdoptPrepartitioned — under GRADOOP_AUDIT_PARTITIONING every
+// engine's elided join sides — under GRADOOP_AUDIT_PARTITIONING every
 // *active row* is re-hashed and the process hard-fails on the first
 // misplaced one; telemetry records what the elision saved.
 BatchDataset AdoptBatches(const BatchDataset& data, const RowKeyFn& key_of,
@@ -545,7 +545,8 @@ EmbeddingSet BatchesToRows(const BatchSet& batches) {
   auto data = batches.data.FlatMap<Embedding>(
       [](const EmbeddingBatch& b, std::vector<Embedding>* out) {
         const uint32_t active = b.ActiveRows();
-        out->reserve(out->size() + active);
+        // No exact-size reserve here: `out` is the whole partition, and
+        // growing it by one batch at a time would reallocate per batch.
         for (uint32_t i = 0; i < active; ++i) {
           out->push_back(b.RowAt(b.ActiveRow(i)));
         }

@@ -97,8 +97,8 @@ MemoryBound DeriveNode(const PhysicalOperator& op, int num_workers,
                         p * right_rows * kJoinTableEntryBytes;
       } else {
         // Repartition: both sides are staged into shuffled partitions
-        // (elided sides still copy via AdoptPrepartitioned) and the build
-        // side gets one table entry per row.
+        // (elided sides are adopted in place but charged all the same)
+        // and the build side gets one table entry per row.
         b.state_bytes =
             left_bytes + right_bytes + right_rows * kJoinTableEntryBytes;
       }

@@ -275,16 +275,39 @@ EmbeddingSet SelectEmbeddings(const EmbeddingSet& input,
 
 namespace {
 
-// Working record of one in-flight variable-length expansion.
-struct ExpandState {
-  Embedding base;             // the input embedding, untouched
-  std::vector<uint64_t> via;  // alternating edge/vertex ids walked so far
-  uint64_t end = 0;           // current path end vertex
+// One in-flight path of a variable-length expansion (§3.1's bulk-iteration
+// working set). Instead of copying the input embedding and the whole path
+// every hop, a record links to the record it grew from: the path is the
+// chain of `edge`/`end` pairs back to the hop-0 record, at most
+// `upper_bound` long. Rows are materialised only on emission.
+struct FrontierRecord {
+  const Embedding* row = nullptr;          // the input embedding
+  const FrontierRecord* parent = nullptr;  // one hop shorter; null at hop 0
+  uint64_t edge = 0;                       // edge walked by the last hop
+  uint64_t end = 0;                        // current path end vertex
+  uint32_t hops = 0;
 
+  // Modelled wire size: the row-based working record this stands for —
+  // the input embedding, the via list (u32 length + 8 bytes per id of
+  // its 2·hops-1 alternating edge/vertex ids) and the 8-byte end vertex.
   size_t SerializedSize() const {
-    return base.SerializedSize() + sizeof(uint32_t) + 8 * via.size() + 8;
+    const size_t via = hops == 0 ? 0 : 2 * hops - 1;
+    return row->SerializedSize() + sizeof(uint32_t) + 8 * via + 8;
   }
 };
+
+// The alternating edge/vertex ids walked from the start to `r.end`
+// (exclusive), in walk order.
+std::vector<uint64_t> ViaOf(const FrontierRecord& r) {
+  std::vector<uint64_t> via(r.hops == 0 ? 0 : 2 * r.hops - 1);
+  // cancellation: parent chain, at most upper_bound records long.
+  for (const FrontierRecord* n = &r; n->hops > 0; n = n->parent) {
+    const size_t at = 2 * (n->hops - 1);
+    via[at] = n->edge;
+    if (n != &r) via[at + 1] = n->end;
+  }
+  return via;
+}
 
 }  // namespace
 
@@ -305,39 +328,48 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
   const bool vertex_iso = semantics.vertex == MatchSemantics::kIsomorphism;
   const bool edge_iso = semantics.edge == MatchSemantics::kIsomorphism;
 
-  // Builds the emitted embedding for a completed path of k >= 0 hops.
-  auto emit = [=](const ExpandState& state, std::vector<Embedding>* out) {
-    std::vector<uint64_t> via = state.via;
+  // Materialises the embedding of a completed path of k >= 0 hops.
+  auto emit = [=](const FrontierRecord& r, std::vector<Embedding>* out) {
+    if (end_bound && r.row->IdAt(bound_end_column) != r.end) return;
+    std::vector<uint64_t> via = ViaOf(r);
     if (reverse) std::reverse(via.begin(), via.end());
-    if (end_bound && state.base.IdAt(bound_end_column) != state.end) return;
-    Embedding result = state.base;
+    Embedding result = *r.row;
     result.AppendPath(via);
-    if (!end_bound) result.AppendId(state.end);
+    if (!end_bound) result.AppendId(r.end);
     if (!SatisfiesMorphism(result, result_meta, semantics)) return;
     if (!PassesResidual(residual, result_meta, result)) return;
     out->push_back(std::move(result));
   };
 
   // Initial frontier: every input embedding positioned at its start
-  // binding with an empty path.
-  dataflow::Dataset<ExpandState> frontier = input.data.Map(
+  // binding with an empty path. The records point into `input`, which
+  // outlives the call.
+  dataflow::Dataset<FrontierRecord> frontier = input.data.Map(
       [start_column](const Embedding& e) {
-        ExpandState s;
-        s.base = e;
-        s.end = e.IdAt(start_column);
-        return s;
+        FrontierRecord r;
+        r.row = &e;
+        r.end = e.IdAt(start_column);
+        return r;
       },
       "ExpandInit");
 
   std::vector<dataflow::Dataset<Embedding>> emitted;
 
   if (lower_bound == 0) {
-    emitted.push_back(frontier.FlatMap<Embedding>(
-        [emit](const ExpandState& s, std::vector<Embedding>* out) {
-          emit(s, out);
-        },
-        "ExpandEmitZero"));
+    emitted.push_back(frontier.FlatMap<Embedding>(emit, "ExpandEmitZero"));
   }
+
+  // The edge side is loop-invariant: it is exchanged on the join key and
+  // hashed once, on the first hop that has a frontier to probe with. Each
+  // hop's probe still charges the model one edge exchange and one build,
+  // exactly as a fresh per-hop HashJoin would.
+  const auto edge_key = [reverse](const epgm::Edge& e) {
+    return reverse ? e.target_id : e.source_id;
+  };
+  std::optional<dataflow::JoinBuildSide<epgm::Edge, uint64_t>> edge_table;
+  // The exchanged probe side of every hop: the parents the next hop's
+  // records link to.
+  std::vector<dataflow::Dataset<FrontierRecord>> probed;
 
   common::CancellationToken& cancel = input.data.context()->cancellation();
   for (int k = 1; k <= upper_bound; ++k) {
@@ -350,26 +382,28 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
       frontier_size += frontier.partition(p).size();
     }
     if (frontier_size == 0) break;  // no more valid paths
+    if (!edge_table) {
+      edge_table = edges.PrepareBuild(
+          edge_key, dataflow::JoinStrategy::kRepartition, "ExpandStep");
+    }
 
-    // 1-hop expansion: join the frontier with the edge set on the current
-    // end vertex, enforcing morphism constraints on the grown path.
-    frontier = frontier.HashJoin<ExpandState>(
-        edges,
-        [](const ExpandState& s) { return s.end; },
-        [reverse](const epgm::Edge& e) {
-          return reverse ? e.target_id : e.source_id;
-        },
-        [=](const ExpandState& s, const epgm::Edge& e,
-            std::vector<ExpandState>* out) {
+    // 1-hop expansion: probe the edge table with the frontier on the
+    // current end vertex, enforcing morphism constraints on the grown path.
+    probed.emplace_back();
+    frontier = frontier.ProbeJoin<FrontierRecord>(
+        *edge_table, [](const FrontierRecord& r) { return r.end; },
+        [=](const FrontierRecord& s, const epgm::Edge& e,
+            std::vector<FrontierRecord>* out) {
           const uint64_t new_end = reverse ? e.source_id : e.target_id;
           if (edge_iso) {
             // The new edge must not repeat within the path nor collide
             // with edges already bound in the base embedding.
-            for (size_t i = 0; i < s.via.size(); i += 2) {
-              if (s.via[i] == e.id) return;
+            // cancellation: parent chain, at most upper_bound records.
+            for (const FrontierRecord* n = &s; n->hops > 0; n = n->parent) {
+              if (n->edge == e.id) return;
             }
-            if (s.base.ContainsIdAt(e.id, base_edge_columns)) return;
-            if (s.base.PathContains(e.id, base_path_columns, true)) return;
+            if (s.row->ContainsIdAt(e.id, base_edge_columns)) return;
+            if (s.row->PathContains(e.id, base_path_columns, true)) return;
           }
           if (vertex_iso) {
             // Path-local distinctness: the new end must not revisit an
@@ -380,34 +414,29 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
             // emission by SatisfiesMorphism; path interiors are free, as
             // they bind no query variable.
             if (new_end == s.end) return;  // data self-loop revisits the end
-            for (size_t i = 1; i < s.via.size(); i += 2) {
-              if (s.via[i] == new_end) return;
+            // cancellation: parent chain, at most upper_bound records.
+            for (const FrontierRecord* n = s.parent;
+                 n != nullptr && n->hops > 0; n = n->parent) {
+              if (n->end == new_end) return;
             }
             const bool is_bound_end =
-                end_bound && s.base.IdAt(bound_end_column) == new_end;
-            if (!is_bound_end && new_end == s.base.IdAt(start_column)) {
+                end_bound && s.row->IdAt(bound_end_column) == new_end;
+            if (!is_bound_end && new_end == s.row->IdAt(start_column)) {
               return;
             }
           }
-          ExpandState next;
-          next.base = s.base;
-          next.via = s.via;
-          if (!next.via.empty()) {
-            // Close the previous hop with its intermediate vertex.
-            next.via.push_back(s.end);
-          }
-          next.via.push_back(e.id);
+          FrontierRecord next;
+          next.row = s.row;
+          next.parent = &s;
+          next.edge = e.id;
           next.end = new_end;
-          out->push_back(std::move(next));
+          next.hops = s.hops + 1;
+          out->push_back(next);
         },
-        dataflow::JoinStrategy::kRepartition, "ExpandStep");
+        "ExpandStep", /*left_prepartitioned=*/false, &probed.back());
 
     if (k >= lower_bound) {
-      emitted.push_back(frontier.FlatMap<Embedding>(
-          [emit](const ExpandState& s, std::vector<Embedding>* out) {
-            emit(s, out);
-          },
-          "ExpandEmit"));
+      emitted.push_back(frontier.FlatMap<Embedding>(emit, "ExpandEmit"));
     }
   }
   dataflow::Dataset<Embedding> results =

@@ -110,7 +110,9 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
 // frontier with `edges`, keeping only paths that satisfy the morphism
 // semantics, and unions an emission into the result once the iteration
 // count reaches `lower_bound`. Terminates at `upper_bound` or when no
-// valid path remains.
+// valid path remains. The host exchanges and hashes `edges` once per call
+// and probes that build side every hop; the cost model still charges one
+// edge exchange and one build per hop, as a join per superstep would.
 //
 // `reverse` expands against edge direction (used when the plan binds the
 // path's target first). A non-negative `bound_end_column` closes a cycle:

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "dataflow/partitioning_audit.h"
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
+#include "query/batch_operators.h"
 #include "query/cypher_engine.h"
 #include "query/exec/batch_layout.h"
 
@@ -222,6 +224,37 @@ TEST(BatchEngineTest, VerifierRejectsMismatchedBatchSize) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("batch layout"), std::string::npos)
       << s.message();
+}
+
+TEST(BatchEngineTest, ManyOneRowBatchesConvertToRowsInOrder) {
+  // 20 000 one-row batches in a single partition: the conversion appends
+  // them all to one output vector, which must grow geometrically (an
+  // exact per-batch reserve made this quadratic) and keep every row's
+  // bytes and position.
+  auto ctx = dataflow::MakeContext();
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  meta.AddIdColumn("p", EntryType::kPath);
+  meta.AddPropertyColumn("a", "name");
+  auto parts = std::make_shared<dataflow::Dataset<Embedding>::Partitions>(
+      ctx->num_workers());
+  for (uint64_t i = 0; i < 20000; ++i) {
+    Embedding e;
+    e.AppendId(i);
+    e.AppendPath({1000 + i, 2000 + i, 3000 + i});
+    e.AppendProperty(epgm::PropertyValue("n" + std::to_string(i)));
+    (*parts)[0].push_back(std::move(e));
+  }
+  const std::vector<Embedding> rows = (*parts)[0];
+  EmbeddingSet input{dataflow::Dataset<Embedding>(ctx, std::move(parts)),
+                     meta};
+  const BatchSet batches = RowsToBatches(input, /*batch_size=*/1);
+  ASSERT_EQ(batches.data.partition(0).size(), 20000u);
+  const EmbeddingSet converted = BatchesToRows(batches);
+  EXPECT_TRUE(converted.data.partition(0) == rows);
+  for (int p = 1; p < converted.data.num_partitions(); ++p) {
+    EXPECT_TRUE(converted.data.partition(p).empty());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
@@ -104,6 +106,34 @@ TEST(RandomTest, ZipfIsSkewed) {
   // Rank 0 must dominate rank 50 by a wide margin.
   EXPECT_GT(counts[0], 10 * std::max(counts[50], 1));
   for (const auto& [k, v] : counts) EXPECT_LT(k, 100u);
+}
+
+// Naive reference: rebuilds the CDF for every draw and consumes one
+// NextDouble from `rng`, exactly as a single Zipf draw must.
+uint64_t ReferenceZipf(Random* rng, uint64_t n, double s) {
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (uint64_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf[i] = sum;
+  }
+  for (uint64_t i = 0; i < n; ++i) cdf[i] /= sum;
+  const double u = rng->NextDouble();
+  return static_cast<uint64_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                               cdf.begin());
+}
+
+TEST(RandomTest, ZipfInterleavedPairsMatchPerDrawReference) {
+  // The generator alternates draws over several (n, s) distributions;
+  // caching their CDFs must not change a single draw.
+  Random cached(29);
+  Random reference(29);
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t n = i % 3 == 0 ? 1000 : 37;
+    const double s = i % 3 == 0 ? 1.0 : 1.7;
+    ASSERT_EQ(cached.NextZipf(n, s), ReferenceZipf(&reference, n, s))
+        << "draw " << i;
+  }
 }
 
 TEST(RandomTest, PowerLawDegreesInRangeAndSkewed) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 #include <numeric>
 #include <thread>
 
-#include "dataflow/bulk_iteration.h"
 #include "dataflow/dataset.h"
 #include "dataflow/thread_pool.h"
 
@@ -282,6 +285,88 @@ TEST(DatasetTest, FlatJoinCanDropPairs) {
   EXPECT_EQ(Sorted(joined.Collect()), (std::vector<int>{1, 3}));
 }
 
+// Everything the model and the telemetry counters saw of one run.
+struct Charged {
+  std::vector<std::pair<std::string, double>> stages;  // label, seconds
+  uint64_t records = 0, network = 0, spilled = 0, peak = 0;
+  std::map<std::string, uint64_t> counters;
+  std::vector<std::vector<int>> outputs;
+
+  explicit Charged(const ExecutionContext& ctx,
+                   std::vector<std::vector<int>> outs)
+      : records(ctx.tracker().TotalRecords()),
+        network(ctx.tracker().NetworkBytes()),
+        spilled(ctx.tracker().SpilledBytes()),
+        peak(ctx.accountant().peak_bytes()),
+        counters(ctx.telemetry().metrics().Snapshot().counters),
+        outputs(std::move(outs)) {
+    for (const StageCost& stage : ctx.tracker().Stages()) {
+      stages.emplace_back(stage.label, stage.TotalSeconds());
+    }
+  }
+};
+
+TEST(DatasetTest, PreparedBuildChargesEveryProbeLikeAFreshHashJoin) {
+  for (const JoinStrategy strategy :
+       {JoinStrategy::kRepartition, JoinStrategy::kBroadcast}) {
+    auto context = [] {
+      ClusterConfig cfg;
+      cfg.num_workers = 4;
+      cfg.worker_memory_bytes = 64;  // the build side spills
+      auto ctx = MakeContext(cfg);
+      ctx->accountant().Enable();
+      ctx->telemetry().Enable();
+      return ctx;
+    };
+    std::vector<int> build_data(200), probe_a(300), probe_b(50);
+    std::iota(build_data.begin(), build_data.end(), 0);
+    std::iota(probe_a.begin(), probe_a.end(), 100);
+    std::iota(probe_b.begin(), probe_b.end(), 7);
+    auto key = [](const int& x) { return static_cast<uint64_t>(x % 60); };
+    auto joiner = [](const int& l, const int& r, std::vector<int>* out) {
+      out->push_back(l * 1000 + r);
+    };
+    auto partitions = [](const Dataset<int>& ds) {
+      std::vector<std::vector<int>> parts;
+      for (int p = 0; p < ds.num_partitions(); ++p) {
+        parts.push_back(ds.partition(p));
+      }
+      return parts;
+    };
+
+    auto fresh = context();
+    auto right = Dataset<int>::FromVector(fresh, build_data);
+    fresh->tracker().Reset();
+    auto fa = Dataset<int>::FromVector(fresh, probe_a)
+                  .HashJoin<int>(right, key, key, joiner, strategy);
+    auto fb = Dataset<int>::FromVector(fresh, probe_b)
+                  .HashJoin<int>(right, key, key, joiner, strategy);
+    auto fresh_outs = partitions(fa);
+    for (auto& part : partitions(fb)) fresh_outs.push_back(part);
+
+    auto shared = context();
+    right = Dataset<int>::FromVector(shared, build_data);
+    shared->tracker().Reset();
+    const auto build = right.PrepareBuild(key, strategy, "Join");
+    auto sa = Dataset<int>::FromVector(shared, probe_a)
+                  .ProbeJoin<int>(build, key, joiner);
+    auto sb = Dataset<int>::FromVector(shared, probe_b)
+                  .ProbeJoin<int>(build, key, joiner);
+    auto shared_outs = partitions(sa);
+    for (auto& part : partitions(sb)) shared_outs.push_back(part);
+
+    const Charged f(*fresh, fresh_outs), s(*shared, shared_outs);
+    EXPECT_GT(f.spilled, 0u);
+    EXPECT_EQ(s.stages, f.stages);
+    EXPECT_EQ(s.records, f.records);
+    EXPECT_EQ(s.network, f.network);
+    EXPECT_EQ(s.spilled, f.spilled);
+    EXPECT_EQ(s.peak, f.peak);
+    EXPECT_EQ(s.counters, f.counters);
+    EXPECT_EQ(s.outputs, f.outputs);
+  }
+}
+
 TEST(DatasetTest, CountMatchesCollect) {
   auto ctx = Ctx(4);
   std::vector<int> data(57);
@@ -295,43 +380,6 @@ TEST(DatasetTest, SingleWorkerStillWorks) {
   auto ds = Dataset<int>::FromVector(ctx, {3, 1, 2});
   EXPECT_EQ(Sorted(ds.Collect()), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(ds.Count(), 3u);
-}
-
-TEST(BulkIterationTest, RunsBodyUntilBound) {
-  auto ctx = Ctx(2);
-  auto initial = Dataset<int>::FromVector(ctx, {1});
-  std::vector<uint64_t> sizes;
-  BulkIterate<int>(
-      initial, 5,
-      [](const Dataset<int>& working, int) {
-        return working.FlatMap<int>([](const int& x, std::vector<int>* out) {
-          out->push_back(x * 2);
-          out->push_back(x * 2 + 1);
-        });
-      },
-      [&sizes](const Dataset<int>& working, int) {
-        uint64_t n = 0;
-        for (int p = 0; p < working.num_partitions(); ++p) {
-          n += working.partition(p).size();
-        }
-        sizes.push_back(n);
-      });
-  EXPECT_EQ(sizes, (std::vector<uint64_t>{2, 4, 8, 16, 32}));
-}
-
-TEST(BulkIterationTest, TerminatesWhenWorkingSetEmpty) {
-  auto ctx = Ctx(2);
-  auto initial = Dataset<int>::FromVector(ctx, {4});
-  int iterations = 0;
-  BulkIterate<int>(
-      initial, 100,
-      [](const Dataset<int>& working, int) {
-        return working.FlatMap<int>([](const int& x, std::vector<int>* out) {
-          if (x > 1) out->push_back(x / 2);
-        });
-      },
-      [&iterations](const Dataset<int>&, int) { ++iterations; });
-  EXPECT_EQ(iterations, 3);  // 4 -> 2 -> 1 -> (empty input stops loop)
 }
 
 // --- cost model ------------------------------------------------------------

@@ -627,5 +627,136 @@ TEST(ExpandEmbeddingsTest, VertexIsomorphismPreventsRevisit) {
   EXPECT_EQ(rows[0].IdAt(iso.meta.IdColumn("b")), 4u);
 }
 
+// Stages charged under an ExpandStep label (one probe-side exchange, one
+// replayed edge exchange and one build/probe per hop that ran).
+int ExpandStepStages(const dataflow::ExecutionContext& ctx) {
+  int n = 0;
+  for (const dataflow::StageCost& stage : ctx.tracker().Stages()) {
+    if (stage.label.rfind("ExpandStep", 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(ExpandEmbeddingsTest, EmptyFrontierChargesNoExpandStep) {
+  for (const MorphismSetting& semantics :
+       {MorphismSetting::FullIsomorphism(),
+        MorphismSetting::FullHomomorphism()}) {
+    ExpandFixture fx;
+    fx.ctx->telemetry().Enable();
+    EmbeddingMetaData meta;
+    meta.AddIdColumn("a", EntryType::kVertex);
+    EmbeddingSet empty{dataflow::Dataset<Embedding>::Empty(fx.ctx), meta};
+    fx.ctx->tracker().Reset();
+    auto none = Expand(empty, fx.edges, "a", "p", "b", 1, 10, false,
+                       semantics);
+    EXPECT_EQ(none.data.Collect().size(), 0u);
+    EXPECT_EQ(ExpandStepStages(*fx.ctx), 0);
+    // Nothing to probe with, so the edge side was never exchanged or
+    // hashed either.
+    for (const telemetry::SpanRecord& span :
+         fx.ctx->telemetry().tracer().CollectSpans()) {
+      EXPECT_EQ(span.name.find("ExpandStep"), std::string::npos)
+          << span.name;
+    }
+
+    // Vertex 4 has no out-edge: hop 1 runs and empties the frontier, so
+    // hop 2 charges nothing.
+    fx.ctx->tracker().Reset();
+    auto dead_end = Expand(fx.InputAt(4), fx.edges, "a", "p", "b", 1, 10,
+                           false, semantics);
+    EXPECT_EQ(dead_end.data.Collect().size(), 0u);
+    EXPECT_EQ(ExpandStepStages(*fx.ctx), 3);
+  }
+}
+
+// A path found by the reference walk: the alternating edge/vertex ids as
+// the path column stores them, and the end vertex.
+using PathAndEnd = std::pair<std::vector<uint64_t>, uint64_t>;
+
+// Naive reference for *lower..upper from `start`: depth-first over every
+// walk, keeping those whose vertices (vertex isomorphism) or edges (edge
+// isomorphism) are pairwise distinct.
+void ReferenceWalks(const std::vector<Edge>& edges, bool reverse,
+                    const MorphismSetting& semantics, int lower, int upper,
+                    std::vector<uint64_t>* vertices,
+                    std::vector<uint64_t>* walked,
+                    std::vector<PathAndEnd>* out) {
+  const int hops = static_cast<int>(walked->size());
+  if (hops >= lower && hops > 0) {
+    std::vector<uint64_t> via;
+    for (int i = 0; i < hops; ++i) {
+      if (i > 0) via.push_back((*vertices)[i]);
+      via.push_back((*walked)[i]);
+    }
+    if (reverse) std::reverse(via.begin(), via.end());
+    out->push_back({via, vertices->back()});
+  }
+  if (hops == upper) return;
+  for (const Edge& e : edges) {
+    const uint64_t from = reverse ? e.target_id : e.source_id;
+    const uint64_t to = reverse ? e.source_id : e.target_id;
+    if (from != vertices->back()) continue;
+    if (semantics.edge == MatchSemantics::kIsomorphism &&
+        std::count(walked->begin(), walked->end(), e.id) > 0) {
+      continue;
+    }
+    if (semantics.vertex == MatchSemantics::kIsomorphism &&
+        std::count(vertices->begin(), vertices->end(), to) > 0) {
+      continue;
+    }
+    vertices->push_back(to);
+    walked->push_back(e.id);
+    ReferenceWalks(edges, reverse, semantics, lower, upper, vertices, walked,
+                   out);
+    vertices->pop_back();
+    walked->pop_back();
+  }
+}
+
+TEST(ExpandEmbeddingsTest, LongChainDistinctnessFollowsParentLinks) {
+  // A 12-edge graph: the chain 1 -> ... -> 10, back edges 7 -> 3 and
+  // 10 -> 5 that close cycles five and six hops deep, and a self-loop on
+  // 4. Revisits surface only by walking many parent links back.
+  std::vector<Edge> edge_list;
+  for (uint64_t v = 1; v < 10; ++v) {
+    edge_list.emplace_back(100 + v, "knows", v, v + 1);
+  }
+  edge_list.emplace_back(110, "knows", 7, 3);
+  edge_list.emplace_back(111, "knows", 10, 5);
+  edge_list.emplace_back(112, "knows", 4, 4);
+  ASSERT_EQ(edge_list.size(), 12u);
+  for (const MorphismSetting& semantics :
+       {MorphismSetting::FullIsomorphism(),
+        MorphismSetting::FullHomomorphism(), MorphismSetting::Neo4j()}) {
+    for (const bool reverse : {false, true}) {
+      auto ctx = Ctx();
+      auto edges = dataflow::Dataset<Edge>::FromVector(ctx, edge_list);
+      const uint64_t start = reverse ? 10 : 1;
+      EmbeddingMetaData meta;
+      meta.AddIdColumn("a", EntryType::kVertex);
+      Embedding e;
+      e.AppendId(start);
+      EmbeddingSet input{dataflow::Dataset<Embedding>::FromVector(ctx, {e}),
+                         meta};
+      auto result =
+          Expand(input, edges, "a", "p", "b", 1, 10, reverse, semantics);
+      std::vector<PathAndEnd> actual;
+      for (const Embedding& row : result.data.Collect()) {
+        actual.push_back({row.PathAt(result.meta.IdColumn("p")),
+                          row.IdAt(result.meta.IdColumn("b"))});
+      }
+      std::vector<PathAndEnd> expected;
+      std::vector<uint64_t> vertices = {start};
+      std::vector<uint64_t> walked;
+      ReferenceWalks(edge_list, reverse, semantics, 1, 10, &vertices, &walked,
+                     &expected);
+      std::sort(actual.begin(), actual.end());
+      std::sort(expected.begin(), expected.end());
+      EXPECT_FALSE(expected.empty());
+      EXPECT_EQ(actual, expected) << "reverse=" << reverse;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gradoop::query
