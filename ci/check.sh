@@ -14,7 +14,7 @@
 #   ci/check.sh              # everything
 #   ci/check.sh plain        # just one tree (plain|asan|tsan)
 #   ci/check.sh concurrency  # concurrency lint + -Wthread-safety build
-#   ci/check.sh perfbench    # perfbench driver unit tests (no engine build)
+#   ci/check.sh perfbench    # perfbench harness unit tests + driver build
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -73,7 +73,7 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "asan" ]]; then
   # Cancellation audit (docs/cancellation.md): every LDBC and example
   # query runs twice on each engine — once with a cancel injected at a
   # randomized poll checkpoint (the unwind must surface GQL008, stay
-  # within the plan's claimed checkpoint interval and drain the memory
+  # within the per-record polling allowance and drain the memory
   # accountant; the audit aborts otherwise) and once clean — under the
   # sanitizers.
   echo "=== [asan] injected-cancellation audit over LDBC + examples ==="
@@ -161,10 +161,9 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "explain" ]]; then
     echo "cypher_explain: example plan is missing mem= annotations" >&2
     exit 1
   fi
-  # Batch engine (docs/vectorized.md): every compiled operator carries a
-  # verifier-checked batch-layout claim, rendered as batch=<n>; pin one
-  # example EXPLAIN so an annotation or rendering regression cannot slip
-  # through silently.
+  # Batch engine (docs/vectorized.md): every compiled operator renders
+  # its batch size as batch=<n>; pin one example EXPLAIN so a rendering
+  # regression cannot slip through silently.
   if ! "${OUT}/plain/tools/cypher_explain" --engine batch \
       "${ROOT}/examples/queries/quickstart.cypher" \
       | grep -q "batch="
@@ -346,10 +345,16 @@ fi
 
 # Benchmark-harness stage (perfbench/README.md): run.py's and compare.py's
 # unit tests against a fake driver — argument handling, metric
-# derivation, count checks and verdicts — without building the engine.
+# derivation, count checks and verdicts — then the real driver, built
+# from perfbench/CMakeLists.txt the way run.py builds it, so an engine
+# API change that breaks it fails here rather than in a benchmark run.
 if [[ "${ONLY}" == "all" || "${ONLY}" == "perfbench" ]]; then
   echo "=== [perfbench] perfbench harness unit tests ==="
   python3 -m unittest discover -s "${ROOT}/perfbench/tests"
+  echo "=== [perfbench] build the benchmark driver ==="
+  cmake -B "${OUT}/perfbench" -S "${ROOT}/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "${OUT}/perfbench" -j "${JOBS}" --target gradoop_perfbench
 fi
 
 # Optional lint stage: the sanitizer gates above are mandatory, clang-tidy

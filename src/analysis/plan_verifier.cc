@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/type_check.h"
-#include "query/exec/interruptibility.h"
 #include "query/exec/memory_bound.h"
 #include "query/exec/partitioning.h"
 
@@ -544,6 +543,32 @@ Status CheckCompiledClauses(const PhysicalOperator& op,
   return Status::Ok();
 }
 
+// Every elided shuffle must be one GrantShuffleElision grants: an elided
+// side whose input is not provably co-partitioned on that side's key
+// would join records that never meet.
+Status CheckShuffleElision(const PhysicalOperator& op) {
+  if (!op.elide_left_shuffle() && !op.elide_right_shuffle()) {
+    return Status::Ok();
+  }
+  const query::exec::ShuffleElision grant =
+      query::exec::GrantShuffleElision(op);
+  const bool elided[2] = {op.elide_left_shuffle(), op.elide_right_shuffle()};
+  const bool granted[2] = {grant.left, grant.right};
+  for (size_t i = 0; i < 2; ++i) {
+    if (!elided[i] || granted[i]) continue;
+    const PhysicalOperator* child =
+        i < op.children().size() ? op.children()[i].get() : nullptr;
+    return CompiledViolation(
+        op, std::string(i == 0 ? "left" : "right") +
+                " shuffle elided but the input claims " +
+                (child != nullptr && child->has_output_partitioning()
+                     ? child->output_partitioning().ToString()
+                     : std::string("no partitioning")) +
+                ", which grants no elision in " + op.Describe());
+  }
+  return Status::Ok();
+}
+
 Status VerifyCompiledNode(const cypher::QueryGraph& qg,
                           const PhysicalOperator& op, int num_workers,
                           int batch_size, int depth) {
@@ -609,48 +634,13 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
                 derived_mem.ToString() + "])");
   }
 
-  // Batch-layout claim: mandatory like the memory bound (the vectorized
-  // kernels materialize exactly this columnar shape, and a tampered
-  // layout would make them read id payloads as path-pool offsets) and
-  // must be exactly what DeriveBatchLayout yields from the output meta.
-  if (!op.has_batch_layout()) {
-    return CompiledViolation(op,
-                             "missing batch layout claim (plan was not "
-                             "annotated by PlanCompiler)");
-  }
-  const query::exec::BatchLayout derived_layout =
-      query::exec::DeriveBatchLayout(meta, batch_size);
-  if (!(op.batch_layout() == derived_layout)) {
+  // Batch size: the vectorized kernels build batches of exactly the
+  // size the plan was compiled for, which must be the size it runs with.
+  if (op.batch_size() != batch_size) {
     return CompiledViolation(
-        op, "claimed batch layout [" + op.batch_layout().ToString() +
-                "] is not derivable (transfer function yields [" +
-                derived_layout.ToString() + "])");
-  }
-
-  // Interruptibility claim: mandatory — deadline propagation and the
-  // cancellation audit both rely on every kernel loop checkpointing at
-  // the claimed interval. An unbounded interval (a loop with no poll,
-  // e.g. an Expand recursion or hash-build loop that never checks) is
-  // rejected outright; a bounded claim must be exactly what the
-  // transfer function yields.
-  if (!op.has_interruptibility()) {
-    return CompiledViolation(op,
-                             "missing interruptibility claim (plan was "
-                             "not annotated by PlanCompiler)");
-  }
-  if (!op.interruptibility().bounded()) {
-    return CompiledViolation(
-        op,
-        "unbounded checkpoint interval [" + op.interruptibility().ToString() +
-            "] — a kernel loop processes rows without a cancellation poll");
-  }
-  const query::exec::Interruptibility derived_poll =
-      query::exec::DeriveInterruptibility(op);
-  if (!(op.interruptibility() == derived_poll)) {
-    return CompiledViolation(
-        op, "claimed interruptibility [" + op.interruptibility().ToString() +
-                "] is not derivable (transfer function yields [" +
-                derived_poll.ToString() + "])");
+        op, "batch layout compiled for batch=" +
+                std::to_string(op.batch_size()) + ", expected batch=" +
+                std::to_string(batch_size));
   }
 
   switch (op.op_kind()) {
@@ -709,37 +699,6 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
         }
       }
       GRADOOP_RETURN_IF_ERROR(CheckMergedLayout(op, left, right, meta));
-      // Shuffle elision must be justified: repartition strategy, a
-      // non-empty key, and an elided side whose child claims exactly the
-      // partitioning the elision relies on.
-      if (join.elide_left_shuffle() || join.elide_right_shuffle()) {
-        if (join.strategy() != dataflow::JoinStrategy::kRepartition) {
-          return CompiledViolation(
-              op, "shuffle elision on a non-repartition join");
-        }
-        if (join.join_variables().empty()) {
-          return CompiledViolation(op, "shuffle elision on a cartesian join");
-        }
-        const bool sides[2] = {join.elide_left_shuffle(),
-                               join.elide_right_shuffle()};
-        for (int i = 0; i < 2; ++i) {
-          if (!sides[i]) continue;
-          const auto& child = *op.children()[i];
-          if (!child.has_output_partitioning() ||
-              !query::exec::ElidesShuffle(
-                  child.output_partitioning(),
-                  query::exec::PartitionKeyKind::kIdColumns,
-                  join.join_variables())) {
-            return CompiledViolation(
-                op, std::string(i == 0 ? "left" : "right") +
-                        " shuffle elided but the input claims " +
-                        (child.has_output_partitioning()
-                             ? child.output_partitioning().ToString()
-                             : std::string("no partitioning")) +
-                        ", not hash on the join key");
-          }
-        }
-      }
       break;
     }
     case PhysOpKind::kValueJoin: {
@@ -768,32 +727,6 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
         }
       }
       GRADOOP_RETURN_IF_ERROR(CheckMergedLayout(op, left, right, meta));
-      if (join.elide_left_shuffle() || join.elide_right_shuffle()) {
-        if (join.strategy() != dataflow::JoinStrategy::kRepartition) {
-          return CompiledViolation(
-              op, "shuffle elision on a non-repartition value join");
-        }
-        const bool sides[2] = {join.elide_left_shuffle(),
-                               join.elide_right_shuffle()};
-        for (int i = 0; i < 2; ++i) {
-          if (!sides[i]) continue;
-          const auto& child = *op.children()[i];
-          if (!child.has_output_partitioning() ||
-              !query::exec::ElidesShuffle(
-                  child.output_partitioning(),
-                  query::exec::PartitionKeyKind::kPropertyValues,
-                  query::exec::ValueKeySideTokens(join.key_descriptions(),
-                                                  /*right_side=*/i == 1))) {
-            return CompiledViolation(
-                op, std::string(i == 0 ? "left" : "right") +
-                        " shuffle elided but the input claims " +
-                        (child.has_output_partitioning()
-                             ? child.output_partitioning().ToString()
-                             : std::string("no partitioning")) +
-                        ", not hash on the value key");
-          }
-        }
-      }
       break;
     }
     case PhysOpKind::kExpand: {
@@ -861,7 +794,7 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
       break;
     }
   }
-  return Status::Ok();
+  return CheckShuffleElision(op);
 }
 
 }  // namespace

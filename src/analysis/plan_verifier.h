@@ -95,18 +95,19 @@ Status VerifyCandidatePlan(const cypher::QueryGraph& query_graph,
 // merge layouts preserve the left columns while rebasing the right,
 // expansions start from a vertex column and append the path (and fresh
 // end) columns, and all fused filter clauses resolve to projected
-// property columns. Partitioning, memory and batch-layout claims must
-// all be re-derivable from the operator alone; memory and batch-layout
-// claims are mandatory on every operator (a missing one means the plan
-// skipped PlanCompiler's annotation pass, so nothing downstream —
-// admission, audit, the vectorized kernels — can trust it).
+// property columns. Partitioning and memory claims must both be
+// re-derivable from the operator alone; the memory claim is mandatory on
+// every operator (a missing one means the plan skipped PlanCompiler's
+// annotation pass, so neither admission nor the audit can trust it).
+// Every elided shuffle must be granted by GrantShuffleElision.
 // `num_workers` must match the CompileOptions::num_workers the plan was
-// compiled with, and `batch_size` its CompileOptions::batch_size. Run by
-// the engine between compilation and execution.
+// compiled with, and every operator's batch size must equal `batch_size`
+// (its CompileOptions::batch_size). Run by the engine between
+// compilation and execution.
 Status VerifyCompiledPlan(const cypher::QueryGraph& query_graph,
                           const query::exec::PhysicalOperator& root,
                           int num_workers = 4,
-                          int batch_size = query::exec::kDefaultBatchSize);
+                          int batch_size = query::kDefaultBatchSize);
 
 // Stable operator name for diagnostics ("ScanVertices", "JoinEmbeddings",
 // ...).

@@ -20,11 +20,11 @@ enum class CancelReason {
 const char* CancelReasonName(CancelReason reason);
 
 // Cooperative cancellation flag + optional deadline for one query,
-// owned by the ExecutionContext and polled from kernel loops at the
-// checkpoints the interruptibility analysis (query/exec/
-// interruptibility.h) claims. Same cost contract as telemetry: while no
-// cancel, deadline or injection is armed, CheckCancelled() is a single
-// relaxed atomic load and performs no clock reads.
+// owned by the ExecutionContext and polled from kernel loops once per
+// record (dataflow::kRecordsPerCancellationPoll). Same cost contract as
+// telemetry: while no cancel, deadline or injection is armed,
+// CheckCancelled() is a single relaxed atomic load and performs no clock
+// reads.
 //
 // Thread safety: polled concurrently from pool worker threads while the
 // driver (or any other thread) may RequestCancel(). All state is atomic;
@@ -91,7 +91,7 @@ class CancellationToken {
     return trip_poll_.load(std::memory_order_relaxed);
   }
   // Checkpoints that elapsed after the trip — the quantity the
-  // cancellation audit bounds against the plan's interruptibility claim.
+  // cancellation audit bounds (query/exec/cancellation_audit.h).
   uint64_t polls_after_trip() const;
 
   // Seconds between the trip and now; 0 when the token has not tripped.

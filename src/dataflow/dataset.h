@@ -20,6 +20,13 @@
 
 namespace gradoop::dataflow {
 
+// Records a dataset loop processes between two cancellation polls. Every
+// per-record loop below calls CheckCancelled() once per record (a row
+// under the row engine, a batch under the batch engine); lint rule CC007
+// flags a kernel loop without a poll, and the cancellation audit
+// (query/exec/cancellation_audit.h) bounds the unwind by this stride.
+inline constexpr uint64_t kRecordsPerCancellationPoll = 1;
+
 // Physical join strategy, mirroring Flink's optimizer choice between
 // repartitioning both inputs and broadcasting the build side.
 enum class JoinStrategy {

@@ -47,9 +47,9 @@ class ExecutionContext {
   MemoryAccountant& accountant() { return accountant_; }
   const MemoryAccountant& accountant() const { return accountant_; }
 
-  // Per-query cooperative cancellation. Kernel loops poll it at the
-  // checkpoints the interruptibility analysis claims; the engine arms a
-  // deadline / exposes a Cancel() handle and resets it per query.
+  // Per-query cooperative cancellation. Dataset loops poll it once per
+  // record; the engine arms a deadline / exposes a Cancel() handle and
+  // resets it per query.
   // Default-off cost is one relaxed load per checkpoint.
   common::CancellationToken& cancellation() { return cancellation_; }
   const common::CancellationToken& cancellation() const {

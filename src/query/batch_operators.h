@@ -14,6 +14,10 @@
 
 namespace gradoop::query {
 
+// Rows per EmbeddingBatch unless the engine/tooling overrides it
+// (PlannerOptions::batch_size).
+inline constexpr int kDefaultBatchSize = 1024;
+
 // A distributed set of columnar embedding batches plus the meta data
 // describing the columns — the batch engine's counterpart of
 // EmbeddingSet. The meta is identical to the row engine's: the compiler

@@ -12,7 +12,7 @@
 #include "common/timer.h"
 #include "cypher/parser.h"
 #include "query/batch_operators.h"
-#include "query/exec/interruptibility.h"
+#include "query/exec/cancellation_audit.h"
 #include "query/exec/memory_bound.h"
 #include "query/exec/plan_compiler.h"
 #include "query/query_profile.h"
@@ -445,10 +445,10 @@ Result<std::string> CypherEngine::Explain(const std::string& query,
   GRADOOP_RETURN_IF_ERROR(
       CheckMemoryAdmission(query, *physical, max_query_memory_bytes_));
   // Under the batch engine EXPLAIN additionally renders each operator's
-  // batch-layout claim (batch=<n>); row-engine output is unchanged so
-  // existing goldens stay byte-stable.
+  // batch size (batch=<n>); row-engine output is unchanged so existing
+  // goldens stay byte-stable.
   exec::PhysicalOperator::RenderOptions render;
-  render.batch_layout =
+  render.batch_size =
       planner_options_.engine == PlannerOptions::ExecutionEngine::kBatch;
   return physical->ToString(render);
 }
@@ -463,27 +463,8 @@ Result<std::string> CypherEngine::ExplainAnalyze(
   return result.physical->ToString(
       {.actuals = true,
        .timing = true,
-       .batch_layout = planner_options_.engine ==
-                       PlannerOptions::ExecutionEngine::kBatch});
-}
-
-Result<EmbeddingSet> ExecutePlan(const PlanNodePtr& plan,
-                                 const cypher::QueryGraph& query_graph,
-                                 const epgm::IndexedLogicalGraph& graph,
-                                 const MorphismSetting& semantics,
-                                 ScanCache* scan_cache) {
-  // Passes off: callers hand-build logical plans and expect them to run
-  // verbatim, with the full per-element projections.
-  exec::CompileOptions options;
-  options.fuse_filters = false;
-  options.prune_properties = false;
-  options.share_scans = scan_cache != nullptr;
-  exec::PlanCompiler compiler(query_graph, semantics, options);
-  GRADOOP_ASSIGN_OR_RETURN(exec::PhysicalOperatorPtr root,
-                           compiler.Compile(plan));
-  exec::ExecEnv env{&graph, scan_cache};
-  GRADOOP_RETURN_IF_ERROR(root->Open(env));
-  return root->Execute(env);
+       .batch_size = planner_options_.engine ==
+                     PlannerOptions::ExecutionEngine::kBatch});
 }
 
 namespace {

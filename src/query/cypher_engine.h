@@ -150,16 +150,6 @@ class CypherEngine {
   uint64_t audit_inject_checkpoint_ = 0;
 };
 
-// Compatibility wrapper for tests that construct logical plans manually:
-// compiles `plan` with default options (scan sharing iff `scan_cache` is
-// non-null) and runs the compiled operators over `graph`. The engine
-// itself goes through exec::PlanCompiler directly.
-Result<EmbeddingSet> ExecutePlan(const PlanNodePtr& plan,
-                                 const cypher::QueryGraph& query_graph,
-                                 const epgm::IndexedLogicalGraph& graph,
-                                 const MorphismSetting& semantics,
-                                 ScanCache* scan_cache = nullptr);
-
 // Materializes a match collection from final embeddings (Definition 2.4).
 epgm::GraphCollection BuildMatchCollection(
     const epgm::LogicalGraph& graph, const cypher::QueryGraph& query_graph,

@@ -1,5 +1,6 @@
 #include "query/embedding_batch.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gradoop::query {
@@ -28,6 +29,16 @@ void AppendUint64(std::string* out, uint64_t v) {
   char buf[8];
   std::memcpy(buf, &v, 8);
   out->append(buf, 8);
+}
+
+// Makes room for `extra` more elements, growing the capacity at least
+// geometrically. An exact reserve(size() + extra) reallocates on every
+// call, so a builder fed many small chunks (the join kernel's merged
+// rows) would copy each column once per chunk.
+template <typename T>
+void ReserveMore(std::vector<T>* v, size_t extra) {
+  const size_t need = v->size() + extra;
+  if (need > v->capacity()) v->reserve(std::max(need, 2 * v->capacity()));
 }
 
 }  // namespace
@@ -132,7 +143,7 @@ void EmbeddingBatch::AppendRows(const EmbeddingBatch& src,
   for (int c = 0; c < columns; ++c) {
     auto& dst_col = cols.ids[static_cast<size_t>(c)];
     const auto& src_col = s.ids[static_cast<size_t>(c)];
-    dst_col.reserve(dst_col.size() + rows.size());
+    ReserveMore(&dst_col, rows.size());
     if (IsPathColumn(c)) {
       for (const uint32_t row : rows) {
         const size_t offset = src_col[row];
@@ -147,8 +158,8 @@ void EmbeddingBatch::AppendRows(const EmbeddingBatch& src,
   const int props = cols.property_columns;
   if (props > 0) {
     const size_t cells = rows.size() * static_cast<size_t>(props);
-    cols.prop_offsets.reserve(cols.prop_offsets.size() + cells);
-    cols.prop_lens.reserve(cols.prop_lens.size() + cells);
+    ReserveMore(&cols.prop_offsets, cells);
+    ReserveMore(&cols.prop_lens, cells);
     // Pre-size the pool once for the whole gather — appending row by row
     // into a growing megabyte string re-copies it log-many times.
     size_t pool_bytes = 0;
@@ -202,7 +213,7 @@ void EmbeddingBatch::AppendMergedRows(const EmbeddingBatch& left,
   const int columns = num_id_columns();
   for (int c = 0; c < columns; ++c) {
     auto& dst_col = cols.ids[static_cast<size_t>(c)];
-    dst_col.reserve(dst_col.size() + count);
+    ReserveMore(&dst_col, count);
     const bool is_path = IsPathColumn(c);
     if (c < left_id_columns) {
       const auto& src_col = l.ids[static_cast<size_t>(c)];
@@ -241,8 +252,8 @@ void EmbeddingBatch::AppendMergedRows(const EmbeddingBatch& left,
   if (props > 0) {
     const int left_props = left.num_property_columns();
     const size_t cells = count * static_cast<size_t>(props);
-    cols.prop_offsets.reserve(cols.prop_offsets.size() + cells);
-    cols.prop_lens.reserve(cols.prop_lens.size() + cells);
+    ReserveMore(&cols.prop_offsets, cells);
+    ReserveMore(&cols.prop_lens, cells);
     // One side's cells for one row: contiguous in the source pool for
     // every row-major-built batch — single append; per-cell otherwise.
     auto copy_cells = [&cols](const Columns& src, uint32_t row) {

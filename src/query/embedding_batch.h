@@ -38,8 +38,8 @@ class EmbeddingBatch {
   EmbeddingBatch() : cols_(std::make_shared<Columns>()) {}
 
   // A batch with `column_flags[c]` (Embedding::kIdFlag / kPathFlag) id
-  // columns and `property_columns` property columns, matching the
-  // operator's compiled BatchLayout claim.
+  // columns and `property_columns` property columns, as the kernels
+  // derive them from the operator's compiled EmbeddingMetaData.
   EmbeddingBatch(std::vector<uint8_t> column_flags, int property_columns)
       : cols_(std::make_shared<Columns>()) {
     cols_->flags = std::move(column_flags);

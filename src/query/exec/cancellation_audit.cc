@@ -1,53 +1,13 @@
-#include "query/exec/interruptibility.h"
+#include "query/exec/cancellation_audit.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
+#include "dataflow/dataset.h"
 #include "dataflow/execution_context.h"
 #include "query/exec/physical_operator.h"
 
 namespace gradoop::query::exec {
-
-std::string Interruptibility::ToString() const {
-  if (!bounded()) return "poll=unbounded";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "poll=%llur/%llub",
-                static_cast<unsigned long long>(rows),
-                static_cast<unsigned long long>(batches));
-  return buf;
-}
-
-Interruptibility DeriveInterruptibility(const PhysicalOperator& op) {
-  // Every compiled kernel routes its per-record work through the
-  // dataflow loops, which poll once per record (row-engine row, batch-
-  // engine batch) — so each kind's own stride is the shared constant.
-  // The switch stays explicit so a new operator kind fails to compile
-  // here until someone decides where its kernels poll.
-  Interruptibility self;
-  switch (op.op_kind()) {
-    case PhysOpKind::kVertexScan:
-    case PhysOpKind::kEdgeScan:
-    case PhysOpKind::kJoin:
-    case PhysOpKind::kValueJoin:
-    case PhysOpKind::kExpand:
-    case PhysOpKind::kFilter:
-      self.rows = kKernelCheckpointRows;
-      self.batches = kKernelCheckpointBatches;
-      break;
-  }
-  // Worst interval in the subtree wins. A child without a claim proves
-  // nothing about its loops, so the subtree is unbounded.
-  for (const PhysicalOperatorPtr& child : op.children()) {
-    if (child == nullptr || !child->has_interruptibility() ||
-        !child->interruptibility().bounded()) {
-      return Interruptibility{};  // unbounded
-    }
-    self.rows = std::max(self.rows, child->interruptibility().rows);
-    self.batches = std::max(self.batches, child->interruptibility().batches);
-  }
-  return self;
-}
 
 bool CancellationAuditEnabled() {
   return std::getenv("GRADOOP_AUDIT_CANCELLATION") != nullptr;
@@ -82,25 +42,21 @@ void AuditCancelledQuery(const PhysicalOperator& root,
   // Checkpoints observed after the trip: each in-flight kernel loop
   // notices the trip at its next poll, and the stages already queued in
   // the current compound kernel each poll once per partition before
-  // breaking. The allowance scales with the claimed interval and the
-  // execution parallelism; a loop that skips its claimed checkpoints
-  // shifts detection to later (coarser) polls and breaches it.
-  const Interruptibility claim = root.has_interruptibility()
-                                     ? root.interruptibility()
-                                     : Interruptibility{1, 1};
-  const uint64_t claimed_interval = std::max<uint64_t>(
-      1, std::max(claim.rows, claim.batches));
+  // breaking. The allowance scales with the loops' poll stride and the
+  // execution parallelism; a loop that skips its checkpoints shifts
+  // detection to later (coarser) polls and breaches it.
+  const uint64_t stride = dataflow::kRecordsPerCancellationPoll;
   const uint64_t parallelism = static_cast<uint64_t>(
       ctx.pool().num_threads() + ctx.num_workers() + 8);
-  const uint64_t allowance = 8 * parallelism * claimed_interval;
+  const uint64_t allowance = 8 * parallelism * stride;
   if (violations == 0 && token.polls_after_trip() > allowance) {
     violations += 1;
     std::snprintf(detail, sizeof(detail),
                   "%llu checkpoints elapsed after the trip, allowance %llu "
-                  "(claimed interval %s)",
+                  "(poll every %llu records)",
                   static_cast<unsigned long long>(token.polls_after_trip()),
                   static_cast<unsigned long long>(allowance),
-                  claim.ToString().c_str());
+                  static_cast<unsigned long long>(stride));
   }
 
   const double latency = token.SecondsSinceTrip();
@@ -131,9 +87,7 @@ void AuditCancelledQuery(const PhysicalOperator& root,
 
   CancellationAuditStats::Instance().RecordCheck(violations);
   if (violations != 0) {
-    std::fprintf(stderr,
-                 "[gradoop] cancellation audit FAILED at %s: %s — the "
-                 "interruptibility claims are unsound\n",
+    std::fprintf(stderr, "[gradoop] cancellation audit FAILED at %s: %s\n",
                  root.name(), detail);
     std::abort();
   }

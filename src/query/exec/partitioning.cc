@@ -51,6 +51,34 @@ std::vector<std::string> ValueKeySideTokens(
   return out;
 }
 
+ShuffleElision GrantShuffleElision(const PhysicalOperator& op) {
+  PartitionKeyKind key_kind = PartitionKeyKind::kIdColumns;
+  std::vector<std::string> left_key;
+  std::vector<std::string> right_key;
+  if (op.op_kind() == PhysOpKind::kJoin) {
+    const auto& join = static_cast<const JoinOp&>(op);
+    if (join.strategy() != dataflow::JoinStrategy::kRepartition) return {};
+    left_key = join.join_variables();
+    right_key = join.join_variables();
+  } else if (op.op_kind() == PhysOpKind::kValueJoin) {
+    const auto& join = static_cast<const ValueJoinOp&>(op);
+    if (join.strategy() != dataflow::JoinStrategy::kRepartition) return {};
+    key_kind = PartitionKeyKind::kPropertyValues;
+    left_key = ValueKeySideTokens(join.key_descriptions(), false);
+    right_key = ValueKeySideTokens(join.key_descriptions(), true);
+  } else {
+    return {};
+  }
+  if (op.children().size() != 2) return {};
+  // An empty key (cartesian) never elides: ElidesShuffle refuses it.
+  auto side_elides = [&](size_t i, const std::vector<std::string>& key) {
+    const PhysicalOperatorPtr& child = op.children()[i];
+    return child != nullptr && child->has_output_partitioning() &&
+           ElidesShuffle(child->output_partitioning(), key_kind, key);
+  };
+  return {side_elides(0, left_key), side_elides(1, right_key)};
+}
+
 namespace {
 
 PartitioningProperty ChildPartitioning(const PhysicalOperator& op, size_t i) {

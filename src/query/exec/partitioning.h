@@ -101,6 +101,21 @@ bool ElidesShuffle(const PartitioningProperty& input,
                    PartitionKeyKind key_kind,
                    const std::vector<std::string>& key_tokens);
 
+// Which sides of a join may skip their shuffle.
+struct ShuffleElision {
+  bool left = false;
+  bool right = false;
+};
+
+// The shuffle-elision grant, the single definition both PlanCompiler
+// (which applies it under CompileOptions::elide_shuffles) and
+// VerifyCompiledPlan (which rejects any elided side it refuses) use. A
+// side of a repartition JoinOp or ValueJoinOp may elide iff its child
+// claims hash partitioning on exactly that side's key sequence, in the
+// join's key domain (ElidesShuffle). Broadcast joins, cartesian joins
+// and every other operator kind get no grant.
+ShuffleElision GrantShuffleElision(const PhysicalOperator& op);
+
 // Splits value-join key descriptions ("a.x=b.y") into the per-side
 // access tokens ("a.x" for the left, "b.y" for the right) that form the
 // value-key hash sequence of that side.

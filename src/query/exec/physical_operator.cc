@@ -1,6 +1,8 @@
 #include "query/exec/physical_operator.h"
 
 #include <cstdio>
+#include <type_traits>
+#include <utility>
 
 #include "common/timer.h"
 #include "telemetry/query_profile.h"
@@ -67,6 +69,21 @@ dfl::Dataset<epgm::Edge> EdgeScanInput(const epgm::IndexedLogicalGraph& graph,
   return out;
 }
 
+// Per-output-record tally of the shared Execute driver: a record is one
+// row under the row engine and one column batch under the batch engine.
+void TallyOutput(const Embedding& row, OperatorStats* stats) {
+  ++stats->actual_rows;
+  stats->output_bytes += row.SerializedSize();
+  stats->property_bytes += row.prop_data().size();
+}
+
+void TallyOutput(const EmbeddingBatch& batch, OperatorStats* stats) {
+  ++stats->batches;
+  stats->actual_rows += batch.ActiveRows();
+  stats->output_bytes += batch.SerializedSize();
+  stats->property_bytes += batch.property_pool_bytes();
+}
+
 }  // namespace
 
 Status PhysicalOperator::Open(const ExecEnv& env) {
@@ -81,6 +98,16 @@ Status PhysicalOperator::Open(const ExecEnv& env) {
 }
 
 Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
+  return ExecuteAs<EmbeddingSet>(env);
+}
+
+Result<BatchSet> PhysicalOperator::ExecuteBatch(const ExecEnv& env) {
+  return ExecuteAs<BatchSet>(env);
+}
+
+template <typename Set>
+Result<Set> PhysicalOperator::ExecuteAs(const ExecEnv& env) {
+  constexpr bool kBatch = std::is_same_v<Set, BatchSet>;
   telemetry::Telemetry& tel = env.graph->context()->telemetry();
   const bool traced = tel.enabled();
   const double span_begin_us = traced ? tel.tracer().NowMicros() : 0.0;
@@ -94,7 +121,8 @@ Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
   }
   // Frame per subtree: the frame delta (popped below) is this subtree's
   // own resident peak, the runtime counterpart of MemoryBound::peak_bytes.
-  // Execute recursion is driver-thread only, so frames strictly nest.
+  // Execute recursion is driver-thread only, so frames strictly nest. Both
+  // engines charge the same byte currency against the same static bounds.
   dataflow::MemoryAccountant& accountant =
       env.graph->context()->accountant();
   accountant.PushFrame();
@@ -114,11 +142,11 @@ Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
     return status;
   };
   Timer total_timer;
-  std::vector<EmbeddingSet> inputs;
+  std::vector<Set> inputs;
   inputs.reserve(children_.size());
   uint64_t input_rows = 0;
   for (const PhysicalOperatorPtr& child : children_) {
-    Result<EmbeddingSet> input = child->Execute(env);
+    Result<Set> input = child->ExecuteAs<Set>(env);
     if (!input.ok()) return unwind(input.status());
     input_rows += child->stats().actual_rows;
     inputs.push_back(std::move(input).value());
@@ -130,7 +158,13 @@ Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
   const uint64_t network_before = tracker.NetworkBytes();
   const uint64_t spilled_before = tracker.SpilledBytes();
   Timer self_timer;
-  Result<EmbeddingSet> run = Run(env, std::move(inputs));
+  Result<Set> run = [&] {
+    if constexpr (kBatch) {
+      return RunBatch(env, std::move(inputs));
+    } else {
+      return Run(env, std::move(inputs));
+    }
+  }();
   if (!run.ok()) return unwind(run.status());
   // Post-kernel check: kernels drop out of their loops when the token
   // trips but still return partial batches; rejecting here attributes the
@@ -139,7 +173,7 @@ Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
     return unwind(
         Status::ExecutionError("query cancelled at " + Describe()));
   }
-  EmbeddingSet out = std::move(run).value();
+  Set out = std::move(run).value();
   stats_.self_wall_sec = self_timer.ElapsedSeconds();
   stats_.network_bytes = tracker.NetworkBytes() - network_before;
   stats_.spilled_bytes = tracker.SpilledBytes() - spilled_before;
@@ -148,14 +182,12 @@ Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
   for (int p = 0; p < out.data.num_partitions(); ++p) {
     // cancellation: stats byte walk over this operator's own output;
     // the boundary check above already rejected a tripped token.
-    for (const Embedding& e : out.data.partition(p)) {
-      ++stats_.actual_rows;
-      stats_.output_bytes += e.SerializedSize();
-      stats_.property_bytes += e.prop_data().size();
+    for (const auto& record : out.data.partition(p)) {
+      TallyOutput(record, &stats_);
     }
   }
-  // Same selectivity definition as the batch path, so sel= and the
-  // plan-quality telemetry read identically under either engine.
+  // Output rows per input row, the same definition under either engine,
+  // so sel= and the plan-quality telemetry read identically.
   stats_.selectivity =
       input_rows > 0
           ? static_cast<double>(stats_.actual_rows) /
@@ -178,102 +210,22 @@ Result<EmbeddingSet> PhysicalOperator::Execute(const ExecEnv& env) {
   if (traced) {
     // The span covers the whole subtree execution, so operator spans nest
     // in the trace exactly like the plan tree (all on the driver row).
-    tel.tracer().AddSpan(
-        Describe(), telemetry::kCategoryOperator, span_begin_us,
-        tel.tracer().NowMicros(), /*worker=*/-1,
-        {{"rows", static_cast<double>(stats_.actual_rows)},
-         {"estimated_rows", estimated_cardinality_},
-         {"self_ms", stats_.self_wall_sec * 1e3}});
+    std::vector<std::pair<std::string, double>> args = {
+        {"rows", static_cast<double>(stats_.actual_rows)},
+        {"estimated_rows", estimated_cardinality_}};
+    if (kBatch) {
+      args.emplace_back("batches", static_cast<double>(stats_.batches));
+    }
+    args.emplace_back("self_ms", stats_.self_wall_sec * 1e3);
+    tel.tracer().AddSpan(Describe(), telemetry::kCategoryOperator,
+                         span_begin_us, tel.tracer().NowMicros(),
+                         /*worker=*/-1, std::move(args));
     tel.metrics().AddCounter("operator.count", 1);
     tel.metrics().AddCounter("operator.rows", stats_.actual_rows);
-  }
-  return out;
-}
-
-Result<BatchSet> PhysicalOperator::ExecuteBatch(const ExecEnv& env) {
-  telemetry::Telemetry& tel = env.graph->context()->telemetry();
-  const bool traced = tel.enabled();
-  const double span_begin_us = traced ? tel.tracer().NowMicros() : 0.0;
-  common::CancellationToken& cancel = env.graph->context()->cancellation();
-  // Same boundary choreography as Execute (see there).
-  if (cancel.CancelledOrExpired()) {
-    return Status::ExecutionError("query cancelled at " + Describe());
-  }
-  // Identical frame choreography to Execute: the audit compares the same
-  // byte currency against the same static bounds in both engines.
-  dataflow::MemoryAccountant& accountant =
-      env.graph->context()->accountant();
-  accountant.PushFrame();
-  auto unwind = [&](Status status) {
-    if (accountant.enabled()) {
-      for (const PhysicalOperatorPtr& child : children_) {
-        if (child->stats().executed) {
-          accountant.Release(child->stats().output_bytes);
-        }
-      }
+    if (kBatch) {
+      tel.metrics().AddCounter("batch.count", stats_.batches);
+      tel.metrics().AddCounter("batch.rows", stats_.actual_rows);
     }
-    accountant.PopFrame();
-    return status;
-  };
-  Timer total_timer;
-  std::vector<BatchSet> inputs;
-  inputs.reserve(children_.size());
-  uint64_t input_rows = 0;
-  for (const PhysicalOperatorPtr& child : children_) {
-    Result<BatchSet> input = child->ExecuteBatch(env);
-    if (!input.ok()) return unwind(input.status());
-    input_rows += child->stats().actual_rows;
-    inputs.push_back(std::move(input).value());
-  }
-  const dataflow::CostTracker& tracker = env.graph->context()->tracker();
-  const uint64_t network_before = tracker.NetworkBytes();
-  const uint64_t spilled_before = tracker.SpilledBytes();
-  Timer self_timer;
-  Result<BatchSet> run = RunBatch(env, std::move(inputs));
-  if (!run.ok()) return unwind(run.status());
-  if (cancel.CancelledOrExpired()) {
-    return unwind(
-        Status::ExecutionError("query cancelled at " + Describe()));
-  }
-  BatchSet out = std::move(run).value();
-  stats_.self_wall_sec = self_timer.ElapsedSeconds();
-  stats_.network_bytes = tracker.NetworkBytes() - network_before;
-  stats_.spilled_bytes = tracker.SpilledBytes() - spilled_before;
-  for (int p = 0; p < out.data.num_partitions(); ++p) {
-    // cancellation: stats byte walk (see Execute).
-    for (const EmbeddingBatch& b : out.data.partition(p)) {
-      ++stats_.batches;
-      stats_.actual_rows += b.ActiveRows();
-      stats_.output_bytes += b.SerializedSize();
-      stats_.property_bytes += b.property_pool_bytes();
-    }
-  }
-  stats_.selectivity =
-      input_rows > 0
-          ? static_cast<double>(stats_.actual_rows) /
-                static_cast<double>(input_rows)
-          : 1.0;
-  if (accountant.enabled()) {
-    accountant.Charge(stats_.output_bytes);
-    for (const PhysicalOperatorPtr& child : children_) {
-      accountant.Release(child->stats().output_bytes);
-    }
-  }
-  stats_.actual_peak_bytes = accountant.PopFrame();
-  stats_.executed = true;
-  stats_.total_wall_sec = total_timer.ElapsedSeconds();
-  if (traced) {
-    tel.tracer().AddSpan(
-        Describe(), telemetry::kCategoryOperator, span_begin_us,
-        tel.tracer().NowMicros(), /*worker=*/-1,
-        {{"rows", static_cast<double>(stats_.actual_rows)},
-         {"estimated_rows", estimated_cardinality_},
-         {"batches", static_cast<double>(stats_.batches)},
-         {"self_ms", stats_.self_wall_sec * 1e3}});
-    tel.metrics().AddCounter("operator.count", 1);
-    tel.metrics().AddCounter("operator.rows", stats_.actual_rows);
-    tel.metrics().AddCounter("batch.count", stats_.batches);
-    tel.metrics().AddCounter("batch.rows", stats_.actual_rows);
   }
   return out;
 }
@@ -292,8 +244,8 @@ std::string PhysicalOperator::ToString(const RenderOptions& options,
       out += "/" + std::to_string(stats_.actual_peak_bytes) + "B";
     }
   }
-  if (options.batch_layout && has_batch_layout_) {
-    out += " batch=" + std::to_string(batch_layout_.batch_size);
+  if (options.batch_size) {
+    out += " batch=" + std::to_string(batch_size_);
   }
   if (options.actuals && stats_.executed) {
     out += " rows=" + std::to_string(stats_.actual_rows);
@@ -427,7 +379,7 @@ std::string JoinOp::Describe() const {
   }
   out += strategy_ == dfl::JoinStrategy::kBroadcast ? ", broadcast"
                                                     : ", repartition";
-  out += ElisionSuffix(elide_left_shuffle_, elide_right_shuffle_,
+  out += ElisionSuffix(elision_.left, elision_.right,
                        CommaJoined(join_variables_));
   return out + ")";
 }
@@ -437,7 +389,7 @@ Result<EmbeddingSet> JoinOp::Run(const ExecEnv& env,
   (void)env;
   return JoinEmbeddings(inputs[0], inputs[1], left_columns_, right_columns_,
                         output_meta_, semantics_, strategy_, fused_clauses_,
-                        {elide_left_shuffle_, elide_right_shuffle_});
+                        {elision_.left, elision_.right});
 }
 
 Result<BatchSet> JoinOp::RunBatch(const ExecEnv& env,
@@ -445,7 +397,7 @@ Result<BatchSet> JoinOp::RunBatch(const ExecEnv& env,
   (void)env;
   return JoinBatches(inputs[0], inputs[1], left_columns_, right_columns_,
                      output_meta_, semantics_, strategy_, fused_clauses_,
-                     {elide_left_shuffle_, elide_right_shuffle_},
+                     {elision_.left, elision_.right},
                      RuntimeBatchSize());
 }
 
@@ -456,14 +408,14 @@ std::string ValueJoinOp::Describe() const {
   // Name the elided side's own key accesses (both sides elided reads best
   // with the full equality descriptions).
   std::string keys;
-  if (elide_left_shuffle_ && elide_right_shuffle_) {
+  if (elision_.left && elision_.right) {
     keys = CommaJoined(key_descriptions_);
-  } else if (elide_left_shuffle_) {
+  } else if (elision_.left) {
     keys = CommaJoined(ValueKeySideTokens(key_descriptions_, false));
-  } else if (elide_right_shuffle_) {
+  } else if (elision_.right) {
     keys = CommaJoined(ValueKeySideTokens(key_descriptions_, true));
   }
-  out += ElisionSuffix(elide_left_shuffle_, elide_right_shuffle_, keys);
+  out += ElisionSuffix(elision_.left, elision_.right, keys);
   return out + ")";
 }
 
@@ -473,7 +425,7 @@ Result<EmbeddingSet> ValueJoinOp::Run(const ExecEnv& env,
   return ValueJoinEmbeddings(inputs[0], inputs[1], left_key_columns_,
                              right_key_columns_, output_meta_, semantics_,
                              strategy_, fused_clauses_,
-                             {elide_left_shuffle_, elide_right_shuffle_});
+                             {elision_.left, elision_.right});
 }
 
 Result<BatchSet> ValueJoinOp::RunBatch(const ExecEnv& env,
@@ -482,7 +434,7 @@ Result<BatchSet> ValueJoinOp::RunBatch(const ExecEnv& env,
   return ValueJoinBatches(inputs[0], inputs[1], left_key_columns_,
                           right_key_columns_, output_meta_, semantics_,
                           strategy_, fused_clauses_,
-                          {elide_left_shuffle_, elide_right_shuffle_},
+                          {elision_.left, elision_.right},
                           RuntimeBatchSize());
 }
 

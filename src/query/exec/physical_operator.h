@@ -14,8 +14,6 @@
 #include "epgm/indexed_logical_graph.h"
 #include "query/batch_operators.h"
 #include "query/embedding_meta_data.h"
-#include "query/exec/batch_layout.h"
-#include "query/exec/interruptibility.h"
 #include "query/exec/memory_bound.h"
 #include "query/exec/partitioning.h"
 #include "query/match_semantics.h"
@@ -111,9 +109,9 @@ class PhysicalOperator {
   Result<EmbeddingSet> Execute(const ExecEnv& env);
 
   // Columnar execution of the same compiled plan: children and kernel run
-  // batch-at-a-time (RunBatch), with identical accounting choreography —
-  // frames, charges and counter deltas — so memory audits and admission
-  // hold unchanged. Additionally records batches and selectivity.
+  // batch-at-a-time (RunBatch) through the same driver as Execute, so
+  // frames, charges and counter deltas — and with them memory audits and
+  // admission — are identical. Additionally records batches.
   Result<BatchSet> ExecuteBatch(const ExecEnv& env);
 
   const EmbeddingMetaData& output_meta() const { return output_meta_; }
@@ -151,38 +149,25 @@ class PhysicalOperator {
     has_memory_bound_ = true;
   }
 
-  // Interruptibility claim of the subtree rooted here, stamped bottom-up
-  // by PlanCompiler from DeriveInterruptibility and independently
-  // re-derived by VerifyCompiledPlan (mandatory on compiled plans; an
-  // unbounded claim — a kernel loop with no cancellation poll — is
-  // rejected outright, see docs/cancellation.md).
-  bool has_interruptibility() const { return has_interruptibility_; }
-  const Interruptibility& interruptibility() const {
-    return interruptibility_;
-  }
-  void set_interruptibility(Interruptibility claim) {
-    interruptibility_ = claim;
-    has_interruptibility_ = true;
-  }
+  // Shuffle elision: which sides of a repartition join skip their
+  // shuffle. PlanCompiler grants it from GrantShuffleElision, which only
+  // ever grants joins, and VerifyCompiledPlan rejects any side it refuses.
+  bool elide_left_shuffle() const { return elision_.left; }
+  bool elide_right_shuffle() const { return elision_.right; }
+  void set_shuffle_elision(bool left, bool right) { elision_ = {left, right}; }
 
-  // Batch-layout claim of the output representation, stamped by
-  // PlanCompiler from DeriveBatchLayout and independently re-derived by
-  // VerifyCompiledPlan (mandatory on compiled plans, like the memory
-  // bound — a tampered layout would make the vectorized kernels read id
-  // payloads as path offsets).
-  bool has_batch_layout() const { return has_batch_layout_; }
-  const BatchLayout& batch_layout() const { return batch_layout_; }
-  void set_batch_layout(BatchLayout layout) {
-    batch_layout_ = std::move(layout);
-    has_batch_layout_ = true;
-  }
+  // Rows per column batch the vectorized kernels build to, stamped by
+  // PlanCompiler from CompileOptions::batch_size (VerifyCompiledPlan
+  // checks it against the batch size the plan will execute with).
+  int batch_size() const { return batch_size_; }
+  void set_batch_size(int rows) { batch_size_ = rows; }
 
   struct RenderOptions {
     bool actuals = false;  // append rows=<actual cardinality>
     bool timing = false;   // append wall/net/spill (non-deterministic)
-    // Append batch=<n> from the batch-layout claim (EXPLAIN under
-    // --engine=batch; row-engine output stays byte-stable without it).
-    bool batch_layout = false;
+    // Append batch=<n> (EXPLAIN under --engine=batch; row-engine output
+    // stays byte-stable without it).
+    bool batch_size = false;
   };
   // Indented operator-tree rendering (EXPLAIN / EXPLAIN ANALYZE output).
   std::string ToString(const RenderOptions& options, int indent = 0) const;
@@ -207,12 +192,15 @@ class PhysicalOperator {
   virtual Result<BatchSet> RunBatch(const ExecEnv& env,
                                     std::vector<BatchSet> inputs) = 0;
 
-  // Batch capacity the vectorized kernels build to: the compiled claim's
-  // size, or the default on hand-assembled (un-annotated) trees.
+  // The one driver behind Execute (Set = EmbeddingSet) and ExecuteBatch
+  // (Set = BatchSet): boundary cancellation checks, accountant frames,
+  // stats and the operator span, around Run or RunBatch.
+  template <typename Set>
+  Result<Set> ExecuteAs(const ExecEnv& env);
+
+  // Batch capacity the vectorized kernels build to.
   int RuntimeBatchSize() const {
-    return has_batch_layout_ && batch_layout_.batch_size > 0
-               ? batch_layout_.batch_size
-               : kDefaultBatchSize;
+    return batch_size_ > 0 ? batch_size_ : kDefaultBatchSize;
   }
 
   EmbeddingMetaData output_meta_;
@@ -225,10 +213,8 @@ class PhysicalOperator {
   bool has_output_partitioning_ = false;
   MemoryBound memory_bound_;
   bool has_memory_bound_ = false;
-  Interruptibility interruptibility_;
-  bool has_interruptibility_ = false;
-  BatchLayout batch_layout_;
-  bool has_batch_layout_ = false;
+  ShuffleElision elision_;
+  int batch_size_ = kDefaultBatchSize;
 };
 
 // --- one class per plan kind -----------------------------------------
@@ -321,15 +307,6 @@ class JoinOp final : public PhysicalOperator {
   const std::vector<int>& right_columns() const { return right_columns_; }
   dataflow::JoinStrategy strategy() const { return strategy_; }
 
-  // Shuffle elision, granted by PlanCompiler when the partitioning
-  // analysis proved the side co-partitioned on join_variables_.
-  bool elide_left_shuffle() const { return elide_left_shuffle_; }
-  bool elide_right_shuffle() const { return elide_right_shuffle_; }
-  void set_shuffle_elision(bool left, bool right) {
-    elide_left_shuffle_ = left;
-    elide_right_shuffle_ = right;
-  }
-
  protected:
   Result<EmbeddingSet> Run(const ExecEnv& env,
                            std::vector<EmbeddingSet> inputs) override;
@@ -341,8 +318,6 @@ class JoinOp final : public PhysicalOperator {
   std::vector<int> left_columns_;
   std::vector<int> right_columns_;
   dataflow::JoinStrategy strategy_;
-  bool elide_left_shuffle_ = false;
-  bool elide_right_shuffle_ = false;
 };
 
 class ValueJoinOp final : public PhysicalOperator {
@@ -377,13 +352,6 @@ class ValueJoinOp final : public PhysicalOperator {
   }
   dataflow::JoinStrategy strategy() const { return strategy_; }
 
-  bool elide_left_shuffle() const { return elide_left_shuffle_; }
-  bool elide_right_shuffle() const { return elide_right_shuffle_; }
-  void set_shuffle_elision(bool left, bool right) {
-    elide_left_shuffle_ = left;
-    elide_right_shuffle_ = right;
-  }
-
  protected:
   Result<EmbeddingSet> Run(const ExecEnv& env,
                            std::vector<EmbeddingSet> inputs) override;
@@ -395,8 +363,6 @@ class ValueJoinOp final : public PhysicalOperator {
   std::vector<int> left_key_columns_;
   std::vector<int> right_key_columns_;
   dataflow::JoinStrategy strategy_;
-  bool elide_left_shuffle_ = false;
-  bool elide_right_shuffle_ = false;
 };
 
 class ExpandOp final : public PhysicalOperator {
@@ -423,9 +389,8 @@ class ExpandOp final : public PhysicalOperator {
 
   // Estimated rows of the edge dataset each expansion hop joins against,
   // stamped by PlanCompiler from the graph statistics (0 when compiled
-  // without statistics, e.g. the ExecutePlan compat path). Trusted
-  // operator data for the memory transfer function, like the cardinality
-  // estimate.
+  // without statistics). Trusted operator data for the memory transfer
+  // function, like the cardinality estimate.
   uint64_t edge_input_estimate() const { return edge_input_estimate_; }
   void set_edge_input_estimate(uint64_t rows) { edge_input_estimate_ = rows; }
 

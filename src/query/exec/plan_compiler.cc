@@ -113,33 +113,9 @@ std::string PlanCompiler::EdgeScanSignature(
 }
 
 PhysicalOperatorPtr PlanCompiler::Annotate(PhysicalOperatorPtr op) const {
-  if (options_.elide_shuffles && op->op_kind() == PhysOpKind::kJoin) {
-    auto& join = static_cast<JoinOp&>(*op);
-    if (join.strategy() == dataflow::JoinStrategy::kRepartition &&
-        !join.join_variables().empty()) {
-      auto side_elides = [&](size_t i) {
-        const PhysicalOperatorPtr& child = op->children()[i];
-        return child != nullptr && child->has_output_partitioning() &&
-               ElidesShuffle(child->output_partitioning(),
-                             PartitionKeyKind::kIdColumns,
-                             join.join_variables());
-      };
-      join.set_shuffle_elision(side_elides(0), side_elides(1));
-    }
-  }
-  if (options_.elide_shuffles && op->op_kind() == PhysOpKind::kValueJoin) {
-    auto& join = static_cast<ValueJoinOp&>(*op);
-    if (join.strategy() == dataflow::JoinStrategy::kRepartition) {
-      auto side_elides = [&](size_t i, bool right_side) {
-        const PhysicalOperatorPtr& child = op->children()[i];
-        return child != nullptr && child->has_output_partitioning() &&
-               ElidesShuffle(
-                   child->output_partitioning(),
-                   PartitionKeyKind::kPropertyValues,
-                   ValueKeySideTokens(join.key_descriptions(), right_side));
-      };
-      join.set_shuffle_elision(side_elides(0, false), side_elides(1, true));
-    }
+  if (options_.elide_shuffles) {
+    const ShuffleElision grant = GrantShuffleElision(*op);
+    op->set_shuffle_elision(grant.left, grant.right);
   }
   // The claim is stamped after the elision decision: DerivePartitioning
   // reads only the operator kind, keys, strategy and the children's
@@ -155,14 +131,7 @@ PhysicalOperatorPtr PlanCompiler::Annotate(PhysicalOperatorPtr op) const {
         options_.statistics->EdgeCountByLabels(expand.query_edge().types));
   }
   op->set_memory_bound(DeriveMemoryBound(*op, options_.num_workers));
-  // Batch-layout claim: the columnar shape ExecuteBatch materializes —
-  // re-derived (and rejected on mismatch) by VerifyCompiledPlan.
-  op->set_batch_layout(
-      DeriveBatchLayout(op->output_meta(), options_.batch_size));
-  // Interruptibility claim: the subtree's worst checkpoint interval —
-  // re-derived by VerifyCompiledPlan, which also rejects unbounded
-  // intervals (a kernel loop with no cancellation poll).
-  op->set_interruptibility(DeriveInterruptibility(*op));
+  op->set_batch_size(options_.batch_size);
   return op;
 }
 

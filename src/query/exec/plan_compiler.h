@@ -46,8 +46,8 @@ struct CompileOptions {
   // the estimate is 0 and only the audited/budgeted paths care.
   const GraphStatistics* statistics = nullptr;
   // Rows per column batch the vectorized kernels build to; stamped into
-  // every operator's BatchLayout claim (used only when the engine
-  // executes the plan with ExecuteBatch, but always verified).
+  // every operator (used only when the engine executes the plan with
+  // ExecuteBatch, but always verified).
   int batch_size = kDefaultBatchSize;
 };
 
@@ -77,12 +77,11 @@ class PlanCompiler {
       const PlanNodePtr& node, std::vector<cypher::CnfClause> residual,
       double residual_estimate);
 
-  // Bottom-up analyses: grants shuffle elisions to repartition joins
-  // whose input is already hash-partitioned on the join key (when
+  // Bottom-up analyses: applies GrantShuffleElision (when
   // options_.elide_shuffles), then stamps the operator's own
-  // output-partitioning claim via DerivePartitioning and its memory claim
-  // via DeriveMemoryBound. Called on every compiled operator; children
-  // carry their claims already.
+  // output-partitioning claim via DerivePartitioning, its memory claim
+  // via DeriveMemoryBound and options_.batch_size. Called on every
+  // compiled operator; children carry their claims already.
   PhysicalOperatorPtr Annotate(PhysicalOperatorPtr op) const;
 
   // Every property a clause set reads must resolve in `meta`.

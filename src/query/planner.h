@@ -2,7 +2,7 @@
 #define GRADOOP_QUERY_PLANNER_H_
 
 #include "common/result.h"
-#include "query/exec/batch_layout.h"
+#include "query/batch_operators.h"
 #include "query/graph_statistics.h"
 #include "query/plan.h"
 
@@ -49,13 +49,13 @@ struct PlannerOptions {
   // the columnar EmbeddingBatch kernels (docs/vectorized.md). Both
   // execute the same compiled plan and produce byte-identical results;
   // batch_size is the rows-per-batch capacity the vectorized kernels
-  // build to (stamped into the plan's BatchLayout claims either way).
+  // build to (stamped into every compiled operator either way).
   enum class ExecutionEngine {
     kRow,
     kBatch,
   };
   ExecutionEngine engine = ExecutionEngine::kRow;
-  int batch_size = exec::kDefaultBatchSize;
+  int batch_size = kDefaultBatchSize;
 
   // Default selectivity assumed per predicate clause, by comparison class.
   double equality_selectivity = 0.05;

@@ -1,9 +1,9 @@
 // Differential tests for the columnar batch engine (docs/vectorized.md):
 // row and batch execution of the same compiled plan must produce
 // byte-identical embeddings, the runtime audits must stay clean under
-// the batch kernels, EXPLAIN must surface the batch layout only under
-// --engine=batch, and tampered batch-layout claims must be rejected by
-// the compiled-plan verifier before anything runs.
+// the batch kernels, EXPLAIN must surface the batch size only under
+// --engine=batch, and a plan compiled for another batch size must be
+// rejected by the compiled-plan verifier before anything runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "ldbc/queries.h"
 #include "query/batch_operators.h"
 #include "query/cypher_engine.h"
-#include "query/exec/batch_layout.h"
 
 namespace gradoop::query {
 namespace {
@@ -29,7 +28,7 @@ epgm::LogicalGraph SmallLdbc() {
   return ldbc::LdbcGenerator(cfg).Generate(dataflow::MakeContext());
 }
 
-PlannerOptions BatchOptions(int batch_size = exec::kDefaultBatchSize) {
+PlannerOptions BatchOptions(int batch_size = kDefaultBatchSize) {
   PlannerOptions options;
   options.engine = PlannerOptions::ExecutionEngine::kBatch;
   options.batch_size = batch_size;
@@ -149,7 +148,7 @@ TEST(BatchEngineTest, ScanSharingWorksUnderBatchEngine) {
   EXPECT_EQ(expected, Canonical(&shared, ldbc::Query6()));
 }
 
-TEST(BatchEngineTest, ExplainRendersBatchLayoutOnlyUnderBatchEngine) {
+TEST(BatchEngineTest, ExplainRendersBatchSizeOnlyUnderBatchEngine) {
   auto graph = SmallLdbc();
   CypherEngine row(graph);
   CypherEngine batch(graph, BatchOptions());
@@ -182,28 +181,6 @@ TEST(BatchEngineTest, ExplainAnalyzeReportsBatchesAndSelectivity) {
   auto row_analyzed = row.ExplainAnalyze(ldbc::Query5());
   ASSERT_TRUE(row_analyzed.ok()) << row_analyzed.status();
   EXPECT_EQ(row_analyzed.value().find("batches="), std::string::npos);
-}
-
-TEST(BatchEngineTest, VerifierRejectsTamperedBatchLayout) {
-  auto graph = SmallLdbc();
-  CypherEngine engine(graph);
-  auto result = engine.Execute(ldbc::Query5());
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_NE(result.value().physical, nullptr);
-  const int num_workers = graph.vertices().context()->num_workers();
-  ASSERT_TRUE(analysis::VerifyCompiledPlan(result.value().query_graph,
-                                           *result.value().physical,
-                                           num_workers)
-                  .ok());
-  // An all-zero layout is not what DeriveBatchLayout yields.
-  result.value().physical->set_batch_layout(exec::BatchLayout{});
-  const Status s = analysis::VerifyCompiledPlan(
-      result.value().query_graph, *result.value().physical, num_workers);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("batch layout"), std::string::npos)
-      << s.message();
-  EXPECT_NE(s.message().find("not derivable"), std::string::npos)
-      << s.message();
 }
 
 TEST(BatchEngineTest, VerifierRejectsMismatchedBatchSize) {
@@ -254,6 +231,63 @@ TEST(BatchEngineTest, ManyOneRowBatchesConvertToRowsInOrder) {
   EXPECT_TRUE(converted.data.partition(0) == rows);
   for (int p = 1; p < converted.data.num_partitions(); ++p) {
     EXPECT_TRUE(converted.data.partition(p).empty());
+  }
+}
+
+TEST(BatchEngineTest, ChunkedAppendsMatchOneBulkAppend) {
+  // The join kernel feeds one builder many small AppendMergedRows chunks
+  // before it flushes at batch_size, and the scatter gathers fragments
+  // through AppendRows. Their id and cell columns grow geometrically;
+  // 1024 one-row chunks must produce the same rows as one bulk append.
+  constexpr uint32_t kRows = 1024;
+  const std::vector<uint8_t> flags = {Embedding::kIdFlag,
+                                      Embedding::kPathFlag};
+  EmbeddingBatch left(flags, /*property_columns=*/1);
+  EmbeddingBatch right(flags, /*property_columns=*/1);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    Embedding l;
+    l.AppendId(i);
+    l.AppendPath(std::vector<uint64_t>(i % 4, 100 + i));
+    l.AppendProperty(epgm::PropertyValue("l" + std::to_string(i)));
+    left.AppendRow(l);
+    Embedding r;
+    r.AppendId(5000 + i);
+    r.AppendPath({7000 + i});
+    r.AppendProperty(epgm::PropertyValue(static_cast<int64_t>(i)));
+    right.AppendRow(r);
+  }
+  std::vector<EmbeddingBatch::MergePair> pairs;
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < kRows; ++i) {
+    pairs.push_back({i, &right, kRows - 1 - i});
+    rows.push_back((i * 7) % kRows);
+  }
+  const std::vector<uint8_t> merged_flags = {
+      Embedding::kIdFlag, Embedding::kPathFlag, Embedding::kIdFlag,
+      Embedding::kPathFlag};
+
+  EmbeddingBatch bulk_merged(merged_flags, /*property_columns=*/2);
+  bulk_merged.AppendMergedRows(left, /*left_id_columns=*/2, pairs, 0, kRows);
+  EmbeddingBatch chunked_merged(merged_flags, /*property_columns=*/2);
+  for (size_t i = 0; i < kRows; ++i) {
+    chunked_merged.AppendMergedRows(left, /*left_id_columns=*/2, pairs, i, 1);
+  }
+  EmbeddingBatch bulk_rows(flags, /*property_columns=*/1);
+  bulk_rows.AppendRows(left, rows);
+  EmbeddingBatch chunked_rows(flags, /*property_columns=*/1);
+  for (const uint32_t row : rows) chunked_rows.AppendRows(left, {row});
+
+  ASSERT_EQ(bulk_merged.num_rows(), kRows);
+  ASSERT_EQ(chunked_merged.num_rows(), kRows);
+  ASSERT_EQ(bulk_rows.num_rows(), kRows);
+  ASSERT_EQ(chunked_rows.num_rows(), kRows);
+  for (uint32_t i = 0; i < kRows; ++i) {
+    const Embedding expected_merged =
+        Embedding::Merge(left.RowAt(i), right.RowAt(kRows - 1 - i));
+    EXPECT_TRUE(bulk_merged.RowAt(i) == expected_merged) << i;
+    EXPECT_TRUE(chunked_merged.RowAt(i) == bulk_merged.RowAt(i)) << i;
+    EXPECT_TRUE(bulk_rows.RowAt(i) == left.RowAt(rows[i])) << i;
+    EXPECT_TRUE(chunked_rows.RowAt(i) == bulk_rows.RowAt(i)) << i;
   }
 }
 

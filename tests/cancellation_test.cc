@@ -1,8 +1,6 @@
 // Cancellation safety (docs/cancellation.md): the CancellationToken's
-// trip/poll/deadline semantics, the interruptibility claims PlanCompiler
-// stamps and VerifyCompiledPlan re-derives (missing, tampered and
-// unbounded claims are each rejected), the GQL008 unwind on deadlines
-// and injected cancels in both engines, the GRADOOP_AUDIT_CANCELLATION
+// trip/poll/deadline semantics, the GQL008 unwind on deadlines and
+// injected cancels in both engines, the GRADOOP_AUDIT_CANCELLATION
 // runtime audit (including its abort on an unpolled loop), and the query
 // log's cancellation attribution plus SetPath's failure path.
 #include "common/cancellation.h"
@@ -15,16 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/plan_verifier.h"
-#include "cypher/parser.h"
 #include "dataflow/execution_context.h"
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
 #include "query/cypher_engine.h"
-#include "query/exec/interruptibility.h"
-#include "query/exec/memory_bound.h"
+#include "query/exec/cancellation_audit.h"
 #include "query/exec/physical_operator.h"
-#include "query/exec/plan_compiler.h"
 #include "telemetry/query_log.h"
 #include "telemetry/validate.h"
 
@@ -33,14 +27,6 @@ namespace {
 
 using common::CancellationToken;
 using common::CancelReason;
-
-cypher::QueryGraph QG(const std::string& text) {
-  auto ast = cypher::ParseCypher(text);
-  EXPECT_TRUE(ast.ok()) << ast.status();
-  auto qg = cypher::QueryGraph::Build(ast.value());
-  EXPECT_TRUE(qg.ok()) << qg.status();
-  return std::move(qg).value();
-}
 
 epgm::LogicalGraph LdbcGraph() {
   ldbc::LdbcConfig cfg;
@@ -53,12 +39,6 @@ const std::vector<std::string>& LdbcQueries() {
       ldbc::Query1("X"), ldbc::Query2("X"), ldbc::Query3("X"),
       ldbc::Query4(),    ldbc::Query5(),    ldbc::Query6()};
   return queries;
-}
-
-void CollectOps(const exec::PhysicalOperatorPtr& op,
-                std::vector<exec::PhysicalOperator*>* out) {
-  out->push_back(op.get());
-  for (const auto& child : op->children()) CollectOps(child, out);
 }
 
 // --- token semantics ---------------------------------------------------
@@ -142,73 +122,6 @@ TEST(CancellationTokenTest, FarDeadlineDoesNotTrip) {
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(token.CheckCancelled());
   EXPECT_FALSE(token.CancelledOrExpired());
   EXPECT_EQ(token.polls(), 1000u);  // armed: every poll is counted
-}
-
-// --- interruptibility claims -------------------------------------------
-
-TEST(InterruptibilityTest, CompilerStampsBoundedClaimsOnEveryOperator) {
-  CypherEngine engine(LdbcGraph());
-  auto result = engine.Execute(ldbc::Query1("Alice"));
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_NE(result.value().physical, nullptr);
-  std::vector<exec::PhysicalOperator*> ops;
-  CollectOps(result.value().physical, &ops);
-  ASSERT_FALSE(ops.empty());
-  for (exec::PhysicalOperator* op : ops) {
-    ASSERT_TRUE(op->has_interruptibility()) << op->Describe();
-    EXPECT_TRUE(op->interruptibility().bounded()) << op->Describe();
-    EXPECT_EQ(op->interruptibility(), exec::DeriveInterruptibility(*op))
-        << op->Describe();
-  }
-}
-
-TEST(InterruptibilityTest, VerifierRejectsMissingClaim) {
-  auto qg = QG("MATCH (a)-[e:knows]->(b) RETURN *");
-  EmbeddingMetaData meta;
-  meta.AddIdColumn("a", EntryType::kVertex);
-  // A structurally valid scan that skipped the annotation pass: the
-  // memory and batch-layout claims are stamped so the verifier reaches
-  // the interruptibility check.
-  exec::VertexScanOp scan(meta, 1.0, MorphismSetting::Neo4j(), {},
-                          qg.vertices()[0], {});
-  scan.set_memory_bound(exec::DeriveMemoryBound(scan));
-  scan.set_batch_layout(exec::DeriveBatchLayout(scan.output_meta()));
-  const Status s = analysis::VerifyCompiledPlan(qg, scan);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("missing interruptibility claim"),
-            std::string::npos)
-      << s.message();
-}
-
-TEST(InterruptibilityTest, VerifierRejectsTamperedClaim) {
-  CypherEngine engine(LdbcGraph());
-  auto result = engine.Execute(ldbc::Query1("Alice"));
-  ASSERT_TRUE(result.ok()) << result.status();
-  exec::PhysicalOperatorPtr root = result.value().physical;
-  ASSERT_NE(root, nullptr);
-  exec::Interruptibility tampered = root->interruptibility();
-  tampered.rows += 41;  // claims a coarser poll interval than derivable
-  root->set_interruptibility(tampered);
-  const Status s =
-      analysis::VerifyCompiledPlan(result.value().query_graph, *root);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("claimed interruptibility"), std::string::npos)
-      << s.message();
-}
-
-TEST(InterruptibilityTest, VerifierRejectsUnboundedClaim) {
-  CypherEngine engine(LdbcGraph());
-  auto result = engine.Execute(ldbc::Query1("Alice"));
-  ASSERT_TRUE(result.ok()) << result.status();
-  exec::PhysicalOperatorPtr root = result.value().physical;
-  ASSERT_NE(root, nullptr);
-  root->set_interruptibility(exec::Interruptibility{});  // 0/0 = unbounded
-  const Status s =
-      analysis::VerifyCompiledPlan(result.value().query_graph, *root);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("unbounded checkpoint interval"),
-            std::string::npos)
-      << s.message();
 }
 
 // --- the GQL008 unwind -------------------------------------------------

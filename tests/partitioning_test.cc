@@ -414,6 +414,54 @@ TEST(PartitioningAnalysisTest, VerifierRejectsUnjustifiedElision) {
   EXPECT_NE(s.message().find("elided"), std::string::npos) << s.message();
 }
 
+TEST(PartitioningAnalysisTest, VerifierRejectsUnjustifiedValueJoinElision) {
+  auto graph = LdbcGraph();
+  auto stats = GraphStatistics::Compute(graph);
+  // A value join between two disjoint components: with elision compiled
+  // off, neither side's input is hash-partitioned on its value key, so an
+  // elision granted by hand on either side must not verify.
+  auto qg = QG(
+      "MATCH (a:Person)-[:isLocatedIn]->(c1:City), "
+      "(b:Person)-[:isLocatedIn]->(c2:City) "
+      "WHERE a.firstName = b.firstName RETURN *");
+  PlannerOptions planner_options;
+  planner_options.allow_broadcast = false;
+  auto plan = PlanQuery(qg, stats, planner_options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  exec::CompileOptions options;
+  options.elide_shuffles = false;
+  exec::PlanCompiler compiler(qg, MorphismSetting::Neo4j(), options);
+  auto physical = compiler.Compile(plan.value());
+  ASSERT_TRUE(physical.ok()) << physical.status();
+  ASSERT_TRUE(analysis::VerifyCompiledPlan(qg, *physical.value()).ok());
+
+  std::vector<exec::PhysicalOperator*> ops;
+  CollectOps(physical.value(), &ops);
+  exec::ValueJoinOp* join = nullptr;
+  for (exec::PhysicalOperator* op : ops) {
+    if (op->op_kind() == exec::PhysOpKind::kValueJoin &&
+        static_cast<exec::ValueJoinOp*>(op)->strategy() ==
+            dataflow::JoinStrategy::kRepartition) {
+      join = static_cast<exec::ValueJoinOp*>(op);
+      break;
+    }
+  }
+  ASSERT_NE(join, nullptr) << "plan has no repartition value join:\n"
+                           << physical.value()->ToString();
+  ASSERT_FALSE(join->elide_left_shuffle() || join->elide_right_shuffle());
+  const exec::ShuffleElision grant = exec::GrantShuffleElision(*join);
+  EXPECT_FALSE(grant.left || grant.right);
+  for (const bool left : {true, false}) {
+    join->set_shuffle_elision(left, !left);
+    const Status s = analysis::VerifyCompiledPlan(qg, *physical.value());
+    EXPECT_FALSE(s.ok()) << (left ? "left" : "right");
+    EXPECT_NE(s.message().find(left ? "left shuffle elided"
+                                    : "right shuffle elided"),
+              std::string::npos)
+        << s.message();
+  }
+}
+
 // --- the pinned regression (ISSUE acceptance criterion) ---------------
 //
 // LDBC Q4 contains consecutive joins keyed on the same variable. With

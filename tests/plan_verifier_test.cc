@@ -9,7 +9,6 @@
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
 #include "query/cypher_engine.h"
-#include "query/exec/interruptibility.h"
 #include "query/exec/plan_compiler.h"
 #include "query/operators.h"
 #include "query/planner.h"
@@ -341,12 +340,9 @@ TEST(VerifyCompiledPlanTest, RejectsVertexScanWithExtraIdColumn) {
   meta.AddIdColumn("b", query::EntryType::kVertex);
   query::exec::VertexScanOp scan(meta, 1.0, query::MorphismSetting::Neo4j(),
                                  {}, qg.vertices()[0], {});
-  // Memory, batch-layout and interruptibility claims are mandatory; stamp
-  // derivable ones so the verifier reaches the layout check this test is
-  // about.
+  // The memory claim is mandatory; stamp a derivable one so the verifier
+  // reaches the layout check this test is about.
   scan.set_memory_bound(query::exec::DeriveMemoryBound(scan));
-  scan.set_batch_layout(query::exec::DeriveBatchLayout(scan.output_meta()));
-  scan.set_interruptibility(query::exec::DeriveInterruptibility(scan));
   const Status s = VerifyCompiledPlan(qg, scan);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("one id column"), std::string::npos) << s;
@@ -366,11 +362,6 @@ TEST(VerifyCompiledPlanTest, RejectsJoinKeyColumnsDisagreeingWithChildren) {
   auto right = make_scan("a", 0);
   left->set_memory_bound(query::exec::DeriveMemoryBound(*left));
   right->set_memory_bound(query::exec::DeriveMemoryBound(*right));
-  left->set_batch_layout(query::exec::DeriveBatchLayout(left->output_meta()));
-  right->set_batch_layout(
-      query::exec::DeriveBatchLayout(right->output_meta()));
-  left->set_interruptibility(query::exec::DeriveInterruptibility(*left));
-  right->set_interruptibility(query::exec::DeriveInterruptibility(*right));
   auto merged = query::EmbeddingMetaData::Merge(left->output_meta(),
                                                 right->output_meta());
   // Key column 1 does not hold `a` on either side (both bind it at 0).
@@ -378,8 +369,6 @@ TEST(VerifyCompiledPlanTest, RejectsJoinKeyColumnsDisagreeingWithChildren) {
                            left, right, {"a"}, {1}, {1},
                            dataflow::JoinStrategy::kRepartition);
   join.set_memory_bound(query::exec::DeriveMemoryBound(join));
-  join.set_batch_layout(query::exec::DeriveBatchLayout(join.output_meta()));
-  join.set_interruptibility(query::exec::DeriveInterruptibility(join));
   const Status s = VerifyCompiledPlan(qg, join);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("key columns"), std::string::npos) << s;
@@ -399,12 +388,6 @@ TEST(VerifyCompiledPlanTest, RejectsFilterThatChangesLayout) {
                                child, {});
   child->set_memory_bound(query::exec::DeriveMemoryBound(*child));
   filter.set_memory_bound(query::exec::DeriveMemoryBound(filter));
-  child->set_batch_layout(
-      query::exec::DeriveBatchLayout(child->output_meta()));
-  filter.set_batch_layout(
-      query::exec::DeriveBatchLayout(filter.output_meta()));
-  child->set_interruptibility(query::exec::DeriveInterruptibility(*child));
-  filter.set_interruptibility(query::exec::DeriveInterruptibility(filter));
   const Status s = VerifyCompiledPlan(qg, filter);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("changed the column layout"), std::string::npos)
