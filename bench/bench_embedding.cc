@@ -109,9 +109,12 @@ void BM_ByteArrayIdAccess(benchmark::State& state) {
   const Embedding e = MakeSample<Embedding>(16);
   uint64_t sum = 0;
   for (auto _ : state) {
+    // The clobber makes every iteration reload the ids; otherwise the
+    // compiler hoists the loop-invariant sum out of the timed loop.
+    benchmark::ClobberMemory();
     for (int c = 0; c < 16; ++c) sum += e.IdAt(c);
+    benchmark::DoNotOptimize(sum);
   }
-  benchmark::DoNotOptimize(sum);
 }
 BENCHMARK(BM_ByteArrayIdAccess);
 
@@ -119,9 +122,12 @@ void BM_NaiveIdAccess(benchmark::State& state) {
   const NaiveEmbedding e = MakeSample<NaiveEmbedding>(16);
   uint64_t sum = 0;
   for (auto _ : state) {
+    // The clobber makes every iteration reload the ids; otherwise the
+    // compiler hoists the loop-invariant sum out of the timed loop.
+    benchmark::ClobberMemory();
     for (int c = 0; c < 16; ++c) sum += e.IdAt(c);
+    benchmark::DoNotOptimize(sum);
   }
-  benchmark::DoNotOptimize(sum);
 }
 BENCHMARK(BM_NaiveIdAccess);
 

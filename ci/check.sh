@@ -14,7 +14,8 @@
 #   ci/check.sh              # everything
 #   ci/check.sh plain        # just one tree (plain|asan|tsan)
 #   ci/check.sh concurrency  # concurrency lint + -Wthread-safety build
-#   ci/check.sh perfbench    # perfbench harness unit tests + driver build
+#   ci/check.sh perfbench    # perfbench harness tests, driver build, and
+#                            # seed-42 interactive/paths runs
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -348,6 +349,10 @@ fi
 # derivation, count checks and verdicts — then the real driver, built
 # from perfbench/CMakeLists.txt the way run.py builds it, so an engine
 # API change that breaks it fails here rather than in a benchmark run.
+# Last, a one-second run of the row-engine (interactive) and batch-engine
+# (paths) workloads at seed 42: run.py exits 1 when a match count differs
+# from its pinned seed-42 counts and 2 when a step fails, so both engines
+# are checked end to end on the LDBC graphs.
 if [[ "${ONLY}" == "all" || "${ONLY}" == "perfbench" ]]; then
   echo "=== [perfbench] perfbench harness unit tests ==="
   python3 -m unittest discover -s "${ROOT}/perfbench/tests"
@@ -355,6 +360,11 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "perfbench" ]]; then
   cmake -B "${OUT}/perfbench" -S "${ROOT}/perfbench" \
     -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "${OUT}/perfbench" -j "${JOBS}" --target gradoop_perfbench
+  for workload in interactive paths; do
+    echo "=== [perfbench] ${workload} workload, seed 42, pinned counts ==="
+    python3 "${ROOT}/perfbench/run.py" --workload "${workload}" --seed 42 \
+      --seconds 1
+  done
 fi
 
 # Optional lint stage: the sanitizer gates above are mandatory, clang-tidy

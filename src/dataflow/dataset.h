@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dataflow/execution_context.h"
+#include "dataflow/flat_build_table.h"
 #include "dataflow/partitioning_audit.h"
 #include "dataflow/record_traits.h"
 
@@ -98,7 +99,7 @@ class JoinBuildSide {
 
   // The exchanged records; the per-partition tables point into them.
   std::shared_ptr<const std::vector<std::vector<U>>> parts_;
-  std::vector<std::unordered_multimap<K, const U*>> tables_;
+  std::vector<FlatBuildTable<K, const U*>> tables_;
   ExchangeTally exchange_;        // unless adopted in place
   bool prepartitioned_ = false;   // adopted: replays as an elided shuffle
   std::vector<uint64_t> state_bytes_;  // serialized bytes hashed per worker
@@ -417,16 +418,21 @@ class Dataset {
     build.state_bytes_.assign(p, 0);
     common::CancellationToken& cancel = ctx_->cancellation();
     const std::string build_label = std::string(label) + "/Build";
+    const std::hash<K> hasher;
+    using Table = FlatBuildTable<K, const T*>;
     RunPerPartition(build_label.c_str(), [&](int part) {
       const auto& rsrc = (*build.parts_)[part];
-      auto& table = build.tables_[part];
-      table.reserve(rsrc.size());
+      std::vector<typename Table::Entry> staged;
+      staged.reserve(rsrc.size());
       uint64_t bytes = 0;
       for (const T& rec : rsrc) {
         if (cancel.CheckCancelled()) break;
-        table.emplace(key(rec), &rec);
+        K k = key(rec);
+        const size_t hash = hasher(k);
+        staged.push_back({hash, std::move(k), &rec});
         bytes += RecordBytes(rec);
       }
+      build.tables_[part] = Table(std::move(staged));
       build.state_bytes_[part] = bytes;
     });
     for (const uint64_t b : build.state_bytes_) build.bytes_ += b;
@@ -492,15 +498,16 @@ class Dataset {
     std::vector<uint64_t> state_records(p, 0);
     const std::string build_probe_label = std::string(label) + "/BuildProbe";
     common::CancellationToken& cancel = ctx_->cancellation();
+    const std::hash<K> hasher;
     RunPerPartition(build_probe_label.c_str(), [&](int part) {
       const auto& lsrc = (*left_parts)[part];
       const auto& table = build.tables_[part];
       auto& dst = (*out)[part];
       for (const T& lrec : lsrc) {
         if (cancel.CheckCancelled()) break;
-        auto [it, end] = table.equal_range(key_left(lrec));
-        // cancellation: matches of one probe row; outer loop polls per row.
-        for (; it != end; ++it) joiner(lrec, *it->second, &dst);
+        const K k = key_left(lrec);
+        table.ForEachMatch(k, hasher(k),
+                           [&](const U* r) { joiner(lrec, *r, &dst); });
       }
       state_records[part] = (*build.parts_)[part].size();
       work[part] = lsrc.size() + state_records[part];

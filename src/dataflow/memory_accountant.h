@@ -7,8 +7,8 @@
 
 namespace gradoop::dataflow {
 
-// Modeled per-row overhead of a per-worker join build table
-// (unordered_multimap node, key copy, record pointer, bucket share).
+// Modeled per-row overhead of a per-worker join build table (table
+// entry with its key copy and record pointer, plus a bucket share).
 // Charged by Dataset::HashJoin when accounting is on; the static analysis
 // (query/exec/memory_bound.h) prices build tables with the same constant
 // so estimate and measurement stay in one currency.

@@ -7,11 +7,12 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/cancellation.h"
+#include "dataflow/flat_build_table.h"
 #include "dataflow/partitioning_audit.h"
+#include "query/morphism.h"
 
 namespace gradoop::query {
 
@@ -71,11 +72,6 @@ std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,
   return out;
 }
 
-bool AllDistinct(std::vector<uint64_t>* ids) {
-  std::sort(ids->begin(), ids->end());
-  return std::adjacent_find(ids->begin(), ids->end()) == ids->end();
-}
-
 // Column flags of a fresh batch for `meta`: kPathFlag on columns bound to
 // a path variable, kIdFlag elsewhere. A merged layout's duplicate column
 // of a shared variable stays kIdFlag: shared variables are join keys, and
@@ -91,76 +87,9 @@ std::vector<uint8_t> FlagsOf(const EmbeddingMetaData& meta) {
   return flags;
 }
 
-// Hoisted morphism plan: the row engine re-reads the meta's column lists
-// per embedding; the batch kernels resolve them once per operator and
-// check each merged row against raw id columns.
-struct MorphismPlan {
-  std::vector<int> vertex_columns;
-  std::vector<int> edge_columns;
-  std::vector<int> path_columns;
-  bool vertex_iso = false;
-  bool edge_iso = false;
-
-  MorphismPlan(const EmbeddingMetaData& meta, const MorphismSetting& semantics)
-      : vertex_columns(meta.VertexColumns()),
-        edge_columns(meta.EdgeColumns()),
-        path_columns(meta.PathColumns()),
-        vertex_iso(semantics.vertex == MatchSemantics::kIsomorphism),
-        edge_iso(semantics.edge == MatchSemantics::kIsomorphism) {}
-
-  bool RowSatisfies(const EmbeddingBatch& b, uint32_t row,
-                    std::vector<uint64_t>* scratch) const {
-    if (vertex_iso) {
-      scratch->clear();
-      for (const int c : vertex_columns) scratch->push_back(b.IdAt(c, row));
-      if (!AllDistinct(scratch)) return false;
-    }
-    if (edge_iso) {
-      scratch->clear();
-      for (const int c : edge_columns) scratch->push_back(b.IdAt(c, row));
-      for (const int c : path_columns) {
-        const std::vector<uint64_t> via = b.PathAt(c, row);
-        for (size_t i = 0; i < via.size(); i += 2) scratch->push_back(via[i]);
-      }
-      if (!AllDistinct(scratch)) return false;
-    }
-    return true;
-  }
-
-  // Same check over a (left row, right row) pair that has NOT been merged
-  // yet, reading merged column c from the side that owns it. Lets the
-  // probe loop reject a pair before copying any cells — on selective
-  // joins most candidates die here, and the speculative append/rollback
-  // is reserved for pairs that still need the residual clauses.
-  bool PairSatisfies(const EmbeddingBatch& lb, uint32_t lrow,
-                     const EmbeddingBatch& rb, uint32_t rrow, int left_cols,
-                     std::vector<uint64_t>* scratch) const {
-    const auto id_at = [&](int c) {
-      return c < left_cols ? lb.IdAt(c, lrow) : rb.IdAt(c - left_cols, rrow);
-    };
-    if (vertex_iso) {
-      scratch->clear();
-      for (const int c : vertex_columns) scratch->push_back(id_at(c));
-      if (!AllDistinct(scratch)) return false;
-    }
-    if (edge_iso) {
-      scratch->clear();
-      for (const int c : edge_columns) scratch->push_back(id_at(c));
-      for (const int c : path_columns) {
-        const std::vector<uint64_t> via =
-            c < left_cols ? lb.PathAt(c, lrow)
-                          : rb.PathAt(c - left_cols, rrow);
-        for (size_t i = 0; i < via.size(); i += 2) scratch->push_back(via[i]);
-      }
-      if (!AllDistinct(scratch)) return false;
-    }
-    return true;
-  }
-};
-
-// Appends the row's join key — concatenated 8-byte ids, the byte string
-// the row engine's JoinKeyOf produces, so both engines route every row
-// through the same std::hash<std::string> placement.
+// Appends the row's join key — concatenated 8-byte ids, the bytes whose
+// hash places the row engine's IdJoinKey, so both engines route every
+// row through the same std::hash<std::string> placement.
 void AppendIdKey(const EmbeddingBatch& b, uint32_t row,
                  const std::vector<int>& columns, std::string* key) {
   for (const int c : columns) {
@@ -324,11 +253,11 @@ struct U64PairHash {
   }
 };
 
-// The vectorized probe loop: builds a multimap over the build (right)
-// side's active rows, probes with every left row and appends surviving
-// merged rows. Key extraction is a template parameter so one- and
-// two-column id joins probe on raw u64 columns with no per-row key
-// materialization.
+// The vectorized probe loop: builds the flat build table
+// (dataflow/flat_build_table.h) over the build (right) side's active
+// rows, probes with every left row and appends surviving merged rows.
+// Key extraction is a template parameter so one- and two-column id joins
+// probe on raw u64 columns with no per-row key materialization.
 template <typename Key, typename Hash = std::hash<Key>, typename LeftKeyFn,
           typename RightKeyFn>
 void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
@@ -339,24 +268,12 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
                      common::CancellationToken& cancel) {
   // Build over the right side (HashJoin's build side), one entry per
   // active row addressed as (batch, row).
-  std::unordered_multimap<Key, std::pair<uint32_t, uint32_t>, Hash> table;
+  using Table = dfl::FlatBuildTable<Key, std::pair<uint32_t, uint32_t>>;
   uint64_t build_rows = 0;
   // cancellation: O(batches) size prepass; the build loop below polls.
   for (const EmbeddingBatch& b : right_batches) build_rows += b.ActiveRows();
-  table.reserve(build_rows);
-  // Presence filter in front of the multimap: on selective joins most
-  // probe keys miss, and a one-byte direct-mapped table rejects a miss
-  // with a single cache line instead of a hash-bucket walk. False
-  // positives just fall through to the real probe, so match order and
-  // results are untouched.
-  size_t present_mask = 0;
-  std::vector<uint8_t> present;
-  if (build_rows > 0) {
-    size_t slots = 64;
-    while (slots < build_rows * 4 && slots < (1u << 22)) slots <<= 1;
-    present.assign(slots, 0);
-    present_mask = slots - 1;
-  }
+  std::vector<typename Table::Entry> staged;
+  staged.reserve(build_rows);
   const Hash key_hash;
   for (uint32_t bi = 0; bi < right_batches.size(); ++bi) {
     if (cancel.CheckCancelled()) break;
@@ -365,10 +282,11 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
     for (uint32_t i = 0; i < active; ++i) {
       const uint32_t row = b.ActiveRow(i);
       Key key = right_key(b, row);
-      present[key_hash(key) & present_mask] = 1;
-      table.emplace(std::move(key), std::make_pair(bi, row));
+      const size_t hash = key_hash(key);
+      staged.push_back({hash, std::move(key), {bi, row}});
     }
   }
+  const Table table(std::move(staged));
   st->state_records = build_rows;
   // cancellation: O(batches) accounting byte walk, no per-row work.
   for (const EmbeddingBatch& b : right_batches) {
@@ -381,7 +299,6 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
     dst->push_back(std::move(builder));
     builder = EmbeddingBatch(mp.flags, mp.props);
   };
-  std::vector<uint64_t> scratch;
   const bool no_residual = mp.residual.empty();
   std::vector<EmbeddingBatch::MergePair> pairs;
   for (const EmbeddingBatch& lb : left_batches) {
@@ -390,24 +307,17 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
     for (uint32_t i = 0; i < active; ++i) {
       const uint32_t lrow = lb.ActiveRow(i);
       const Key probe = left_key(lb, lrow);
-      if (present.empty() || !present[key_hash(probe) & present_mask]) {
-        continue;
-      }
-      const auto [begin, end] = table.equal_range(probe);
-      for (auto it = begin; it != end; ++it) {
-        const EmbeddingBatch& rb = right_batches[it->second.first];
-        const uint32_t rrow = it->second.second;
+      table.ForEachMatch(probe, key_hash(probe), [&](const auto& ref) {
+        const EmbeddingBatch& rb = right_batches[ref.first];
+        const uint32_t rrow = ref.second;
         // Morphism first, straight off the source rows: on selective
         // joins most pairs die here without a single cell copied.
-        if (!mp.morphism.PairSatisfies(lb, lrow, rb, rrow,
-                                       mp.left_id_columns, &scratch)) {
-          continue;
-        }
+        if (!mp.morphism.PairSatisfies(lb, lrow, rb, rrow)) return;
         if (no_residual) {
           // No residual to check on the merged row: defer the copy and
           // bulk-gather all of this probe batch's survivors below.
           pairs.push_back({lrow, &rb, rrow});
-          continue;
+          return;
         }
         // Speculative merge: lay the left and right slices side by side,
         // check the fused residual on the pending row, and either commit
@@ -419,11 +329,11 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
         if (!RowPassesClauses(mp.residual, mp.merged_meta, builder,
                               builder.num_rows())) {
           builder.Rollback(mark);
-          continue;
+          return;
         }
         builder.CommitRow();
         if (static_cast<int>(builder.num_rows()) >= mp.batch_size) flush();
-      }
+      });
     }
     // Column-major merge of the survivors, chunked at the batch size so
     // output batches break exactly where the row-at-a-time path breaks.

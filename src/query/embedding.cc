@@ -7,22 +7,16 @@ namespace gradoop::query {
 
 namespace {
 
-uint64_t ReadUint64(const std::string& data, size_t pos) {
+uint64_t ReadUint64(std::string_view data, size_t pos) {
   uint64_t v;
   std::memcpy(&v, data.data() + pos, 8);
   return v;
 }
 
-uint32_t ReadUint32(const std::string& data, size_t pos) {
+uint32_t ReadUint32(std::string_view data, size_t pos) {
   uint32_t v;
   std::memcpy(&v, data.data() + pos, 4);
   return v;
-}
-
-void AppendUint64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
 }
 
 void AppendUint32(std::string* out, uint32_t v) {
@@ -33,51 +27,54 @@ void AppendUint32(std::string* out, uint32_t v) {
 
 }  // namespace
 
-bool Embedding::IsPathEntry(int column) const {
-  assert(column >= 0 && column < NumIdEntries());
-  return static_cast<uint8_t>(id_data_[column * kEntryWidth]) == kPathFlag;
-}
-
-uint64_t Embedding::PayloadAt(int column) const {
-  assert(column >= 0 && column < NumIdEntries());
-  return ReadUint64(id_data_, column * kEntryWidth + 1);
-}
-
-uint64_t Embedding::IdAt(int column) const {
-  assert(!IsPathEntry(column));
-  return PayloadAt(column);
-}
-
 std::vector<uint64_t> Embedding::PathAt(int column) const {
   assert(IsPathEntry(column));
+  const std::string_view path = path_data();
   const size_t offset = PayloadAt(column);
-  assert(offset + 4 <= path_data_.size());
-  const uint32_t len = ReadUint32(path_data_, offset);
+  assert(offset + 4 <= path.size());
+  const uint32_t len = ReadUint32(path, offset);
   std::vector<uint64_t> ids(len);
   for (uint32_t i = 0; i < len; ++i) {
-    ids[i] = ReadUint64(path_data_, offset + 4 + 8 * i);
+    ids[i] = ReadUint64(path, offset + 4 + 8 * i);
   }
   return ids;
 }
 
-void Embedding::AppendId(uint64_t id) {
-  id_data_.push_back(static_cast<char>(kIdFlag));
-  AppendUint64(&id_data_, id);
+void Embedding::InsertEntry(uint8_t flag, uint64_t payload) {
+  char entry[kEntryWidth];
+  entry[0] = static_cast<char>(flag);
+  std::memcpy(entry + 1, &payload, 8);
+  data_.insert(path_offset_, entry, kEntryWidth);
+  path_offset_ += kEntryWidth;
+  prop_offset_ += kEntryWidth;
 }
 
 void Embedding::AppendPath(const std::vector<uint64_t>& via_ids) {
-  const uint64_t offset = path_data_.size();
-  id_data_.push_back(static_cast<char>(kPathFlag));
-  AppendUint64(&id_data_, offset);
-  AppendUint32(&path_data_, static_cast<uint32_t>(via_ids.size()));
-  for (uint64_t id : via_ids) AppendUint64(&path_data_, id);
+  InsertEntry(kPathFlag, prop_offset_ - path_offset_);
+  // Open a gap at the end of pathData and fill it in place.
+  const size_t bytes = 4 + 8 * via_ids.size();
+  data_.insert(prop_offset_, bytes, '\0');
+  char* out = data_.data() + prop_offset_;
+  const uint32_t len = static_cast<uint32_t>(via_ids.size());
+  std::memcpy(out, &len, 4);
+  if (!via_ids.empty()) std::memcpy(out + 4, via_ids.data(), 8 * len);
+  prop_offset_ += bytes;
 }
 
 void Embedding::AppendPathSegment(std::string_view segment) {
-  const uint64_t offset = path_data_.size();
-  id_data_.push_back(static_cast<char>(kPathFlag));
-  AppendUint64(&id_data_, offset);
-  path_data_.append(segment);
+  InsertEntry(kPathFlag, prop_offset_ - path_offset_);
+  data_.insert(prop_offset_, segment.data(), segment.size());
+  prop_offset_ += segment.size();
+}
+
+Embedding Embedding::CopyWithRoom(size_t extra_bytes) const {
+  Embedding out;
+  out.data_.reserve(data_.size() + extra_bytes);
+  out.data_.append(data_);
+  out.path_offset_ = path_offset_;
+  out.prop_offset_ = prop_offset_;
+  out.num_properties_ = num_properties_;
+  return out;
 }
 
 bool Embedding::ContainsIdAt(uint64_t id,
@@ -93,12 +90,13 @@ bool Embedding::PathContains(uint64_t id,
                              bool edges) const {
   // Paths store alternating identifiers starting with an edge:
   // e1, v1, e2, v2, ..., ek — edges at even indices, vertices at odd.
+  const std::string_view path = path_data();
   for (int c : path_columns) {
     if (!IsPathEntry(c)) continue;
     const size_t offset = PayloadAt(c);
-    const uint32_t len = ReadUint32(path_data_, offset);
+    const uint32_t len = ReadUint32(path, offset);
     for (uint32_t i = edges ? 0 : 1; i < len; i += 2) {
-      if (ReadUint64(path_data_, offset + 4 + 8 * i) == id) return true;
+      if (ReadUint64(path, offset + 4 + 8 * i) == id) return true;
     }
   }
   return false;
@@ -106,95 +104,107 @@ bool Embedding::PathContains(uint64_t id,
 
 epgm::PropertyValue Embedding::PropertyAt(int index) const {
   assert(index >= 0 && index < num_properties_);
-  size_t pos = 0;
+  size_t pos = prop_offset_;
   for (int i = 0; i < index; ++i) {
-    const uint32_t len = ReadUint32(prop_data_, pos);
+    const uint32_t len = ReadUint32(data_, pos);
     pos += 4 + len;
   }
-  const uint32_t len = ReadUint32(prop_data_, pos);
-  (void)len;
   size_t value_pos = pos + 4;
-  auto decoded = epgm::PropertyValue::DecodeFrom(prop_data_, &value_pos);
+  auto decoded = epgm::PropertyValue::DecodeFrom(data_, &value_pos);
   assert(decoded.ok());
   return std::move(decoded).value();
 }
 
 void Embedding::AppendProperty(const epgm::PropertyValue& value) {
-  AppendUint32(&prop_data_, static_cast<uint32_t>(value.SerializedSize()));
-  value.EncodeTo(&prop_data_);
+  AppendUint32(&data_, static_cast<uint32_t>(value.SerializedSize()));
+  value.EncodeTo(&data_);
   ++num_properties_;
 }
 
 void Embedding::AppendPropertyEncoded(std::string_view encoded) {
-  AppendUint32(&prop_data_, static_cast<uint32_t>(encoded.size()));
-  prop_data_.append(encoded);
+  AppendUint32(&data_, static_cast<uint32_t>(encoded.size()));
+  data_.append(encoded);
   ++num_properties_;
 }
 
 void Embedding::EncodeTo(std::string* out) const {
-  AppendUint32(out, static_cast<uint32_t>(id_data_.size()));
-  out->append(id_data_);
-  AppendUint32(out, static_cast<uint32_t>(path_data_.size()));
-  out->append(path_data_);
-  AppendUint32(out, static_cast<uint32_t>(prop_data_.size()));
-  out->append(prop_data_);
+  for (const std::string_view part : {id_data(), path_data(), prop_data()}) {
+    AppendUint32(out, static_cast<uint32_t>(part.size()));
+    out->append(part);
+  }
 }
 
 Result<Embedding> Embedding::DecodeFrom(const std::string& data,
                                         size_t* pos) {
-  auto read_chunk = [&data, pos](std::string* dst) -> bool {
-    if (*pos + 4 > data.size()) return false;
-    const uint32_t len = ReadUint32(data, *pos);
-    *pos += 4;
-    if (*pos + len > data.size()) return false;
-    dst->assign(data, *pos, len);
-    *pos += len;
-    return true;
-  };
-  Embedding e;
-  if (!read_chunk(&e.id_data_) || !read_chunk(&e.path_data_) ||
-      !read_chunk(&e.prop_data_)) {
-    return Status::InvalidArgument("truncated embedding");
+  // Locates the three length-prefixed chunks first, so the buffer is
+  // allocated once at its final size.
+  std::string_view chunks[3];
+  size_t at = *pos;
+  for (std::string_view& chunk : chunks) {
+    if (at + 4 > data.size()) {
+      return Status::InvalidArgument("truncated embedding");
+    }
+    const uint32_t len = ReadUint32(data, at);
+    at += 4;
+    if (at + len > data.size()) {
+      return Status::InvalidArgument("truncated embedding");
+    }
+    chunk = std::string_view(data).substr(at, len);
+    at += len;
   }
-  if (e.id_data_.size() % kEntryWidth != 0) {
+  const auto& [ids, paths, props] = chunks;
+  if (ids.size() % kEntryWidth != 0) {
     return Status::InvalidArgument("corrupt embedding id data");
   }
   // Recount the length-prefixed property entries.
   size_t p = 0;
   int count = 0;
-  while (p < e.prop_data_.size()) {
-    if (p + 4 > e.prop_data_.size()) {
+  while (p < props.size()) {
+    if (p + 4 > props.size()) {
       return Status::InvalidArgument("corrupt embedding property data");
     }
-    const uint32_t len = ReadUint32(e.prop_data_, p);
+    const uint32_t len = ReadUint32(props, p);
     p += 4 + len;
     ++count;
   }
-  if (p != e.prop_data_.size()) {
+  if (p != props.size()) {
     return Status::InvalidArgument("corrupt embedding property data");
   }
+  Embedding e;
+  e.data_.reserve(ids.size() + paths.size() + props.size());
+  e.data_.append(ids).append(paths).append(props);
+  e.path_offset_ = static_cast<uint32_t>(ids.size());
+  e.prop_offset_ = static_cast<uint32_t>(ids.size() + paths.size());
   e.num_properties_ = count;
+  *pos = at;
   return e;
 }
 
 Embedding Embedding::Merge(const Embedding& left, const Embedding& right) {
   Embedding out;
-  out.id_data_.reserve(left.id_data_.size() + right.id_data_.size());
-  out.id_data_ = left.id_data_;
-  // Right id entries append directly; PATH offsets rebase by the left
-  // pathData length (bounded by the number of right id entries).
-  const uint64_t rebase = left.path_data_.size();
-  const int right_entries = right.NumIdEntries();
-  for (int c = 0; c < right_entries; ++c) {
-    const uint8_t flag =
-        static_cast<uint8_t>(right.id_data_[c * kEntryWidth]);
-    out.id_data_.push_back(static_cast<char>(flag));
-    uint64_t payload = ReadUint64(right.id_data_, c * kEntryWidth + 1);
-    if (flag == kPathFlag) payload += rebase;
-    AppendUint64(&out.id_data_, payload);
+  out.data_.reserve(left.data_.size() + right.data_.size());
+  out.data_.append(left.id_data()).append(right.id_data());
+  // Right PATH payloads rebase by the left pathData length (bounded by
+  // the number of right id entries).
+  const uint64_t rebase = left.prop_offset_ - left.path_offset_;
+  if (rebase != 0) {
+    char* entries = out.data_.data() + left.path_offset_;
+    const int right_entries = right.NumIdEntries();
+    for (int c = 0; c < right_entries; ++c) {
+      char* entry = entries + c * kEntryWidth;
+      if (static_cast<uint8_t>(entry[0]) != kPathFlag) continue;
+      uint64_t payload;
+      std::memcpy(&payload, entry + 1, 8);
+      payload += rebase;
+      std::memcpy(entry + 1, &payload, 8);
+    }
   }
-  out.path_data_ = left.path_data_ + right.path_data_;
-  out.prop_data_ = left.prop_data_ + right.prop_data_;
+  out.data_.append(left.path_data()).append(right.path_data());
+  out.data_.append(left.prop_data()).append(right.prop_data());
+  out.path_offset_ = left.path_offset_ + right.path_offset_;
+  out.prop_offset_ = out.path_offset_ +
+                     (left.prop_offset_ - left.path_offset_) +
+                     (right.prop_offset_ - right.path_offset_);
   out.num_properties_ = left.num_properties_ + right.num_properties_;
   return out;
 }

@@ -7,13 +7,13 @@ namespace gradoop::query {
 
 namespace {
 
-uint64_t ReadUint64(const std::string& data, size_t pos) {
+uint64_t ReadUint64(std::string_view data, size_t pos) {
   uint64_t v;
   std::memcpy(&v, data.data() + pos, 8);
   return v;
 }
 
-uint32_t ReadUint32(const std::string& data, size_t pos) {
+uint32_t ReadUint32(std::string_view data, size_t pos) {
   uint32_t v;
   std::memcpy(&v, data.data() + pos, 4);
   return v;
@@ -325,12 +325,12 @@ void EmbeddingBatch::AppendRow(const Embedding& embedding) {
   }
   // Property cells copy the row's encoded bytes verbatim: walk the
   // length-prefixed prop_data directly instead of decode + re-encode.
-  const std::string& prop_data = embedding.prop_data();
+  const std::string_view prop_data = embedding.prop_data();
   size_t pos = 0;
   int cells = 0;
   while (pos < prop_data.size()) {
     const uint32_t len = ReadUint32(prop_data, pos);
-    PushPropertyEncoded(std::string_view(prop_data).substr(pos + 4, len));
+    PushPropertyEncoded(prop_data.substr(pos + 4, len));
     pos += 4 + len;
     ++cells;
   }
@@ -343,7 +343,7 @@ Embedding EmbeddingBatch::RowAt(uint32_t row) const {
   Embedding out;
   const int columns = num_id_columns();
   const int props = cols_->property_columns;
-  // The row footprint is knowable up front: reserve each byte array
+  // The row footprint is knowable up front: reserve the row's buffer
   // exactly once, then transplant path segments and property cells
   // verbatim — no decode/re-encode round trips.
   size_t path_bytes = 0;
@@ -358,7 +358,7 @@ Embedding EmbeddingBatch::RowAt(uint32_t row) const {
   for (int c = 0; c < props; ++c) {
     prop_bytes += 4 + cols_->prop_lens[base + c];
   }
-  out.Reserve(columns * Embedding::kEntryWidth, path_bytes, prop_bytes);
+  out.Reserve(columns * Embedding::kEntryWidth + path_bytes + prop_bytes);
   for (int c = 0; c < columns; ++c) {
     if (IsPathColumn(c)) {
       const size_t offset = PayloadAt(c, row);

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -67,6 +68,20 @@ class EmbeddingBatch {
     return cols_->ids[static_cast<size_t>(column)][row];
   }
   std::vector<uint64_t> PathAt(int column, uint32_t row) const;
+  // Calls fn(id) for each edge id (the even positions) of the PATH cell
+  // at (column, row), without materialising the path.
+  template <typename Fn>
+  void ForEachPathEdge(int column, uint32_t row, Fn fn) const {
+    assert(IsPathColumn(column));
+    const char* path = cols_->path_pool.data() + PayloadAt(column, row);
+    uint32_t len;
+    std::memcpy(&len, path, 4);
+    for (uint32_t i = 0; i < len; i += 2) {
+      uint64_t id;
+      std::memcpy(&id, path + 4 + 8 * i, 8);
+      fn(id);
+    }
+  }
   epgm::PropertyValue PropertyAt(int column, uint32_t row) const;
   // Encoded property bytes (no length prefix), copyable verbatim.
   std::string_view PropertyCellAt(int column, uint32_t row) const {

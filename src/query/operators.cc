@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <optional>
+
+#include "query/morphism.h"
 
 namespace gradoop::query {
 
@@ -50,25 +51,6 @@ std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,
     out.push_back(key);
   }
   return out;
-}
-
-// Join key: concatenated 8-byte ids of the given columns.
-std::string JoinKeyOf(const Embedding& embedding,
-                      const std::vector<int>& columns) {
-  std::string key;
-  key.reserve(8 * columns.size());
-  for (int c : columns) {
-    const uint64_t id = embedding.IdAt(c);
-    char buf[8];
-    std::memcpy(buf, &id, 8);
-    key.append(buf, 8);
-  }
-  return key;
-}
-
-bool AllDistinct(std::vector<uint64_t>* ids) {
-  std::sort(ids->begin(), ids->end());
-  return std::adjacent_find(ids->begin(), ids->end()) == ids->end();
 }
 
 }  // namespace
@@ -151,21 +133,7 @@ EmbeddingSet SelectAndProjectEdges(
 bool SatisfiesMorphism(const Embedding& embedding,
                        const EmbeddingMetaData& meta,
                        const MorphismSetting& semantics) {
-  if (semantics.vertex == MatchSemantics::kIsomorphism) {
-    std::vector<uint64_t> ids;
-    for (int c : meta.VertexColumns()) ids.push_back(embedding.IdAt(c));
-    if (!AllDistinct(&ids)) return false;
-  }
-  if (semantics.edge == MatchSemantics::kIsomorphism) {
-    std::vector<uint64_t> ids;
-    for (int c : meta.EdgeColumns()) ids.push_back(embedding.IdAt(c));
-    for (int c : meta.PathColumns()) {
-      const std::vector<uint64_t> via = embedding.PathAt(c);
-      for (size_t i = 0; i < via.size(); i += 2) ids.push_back(via[i]);
-    }
-    if (!AllDistinct(&ids)) return false;
-  }
-  return true;
+  return MorphismPlan(meta, semantics).Satisfies(embedding);
 }
 
 EmbeddingSet JoinEmbeddings(const EmbeddingSet& left,
@@ -178,17 +146,21 @@ EmbeddingSet JoinEmbeddings(const EmbeddingSet& left,
                             const std::vector<cypher::CnfClause>& residual,
                             dataflow::JoinShuffleHints hints) {
   assert(left_columns.size() == right_columns.size());
+  // The keys are views into the records and these column lists, which
+  // outlive the join; the morphism check runs before the merge.
+  const MorphismPlan morphism(merged_meta, semantics);
   auto data = left.data.HashJoin<Embedding>(
       right.data,
-      [left_columns](const Embedding& e) { return JoinKeyOf(e, left_columns); },
-      [right_columns](const Embedding& e) {
-        return JoinKeyOf(e, right_columns);
+      [&left_columns](const Embedding& e) {
+        return IdJoinKey{&e, &left_columns};
       },
-      [merged_meta, semantics, residual](const Embedding& l,
-                                         const Embedding& r,
-                                         std::vector<Embedding>* out) {
+      [&right_columns](const Embedding& e) {
+        return IdJoinKey{&e, &right_columns};
+      },
+      [&](const Embedding& l, const Embedding& r,
+          std::vector<Embedding>* out) {
+        if (!morphism.PairSatisfies(l, r)) return;
         Embedding merged = Embedding::Merge(l, r);
-        if (!SatisfiesMorphism(merged, merged_meta, semantics)) return;
         if (!PassesResidual(residual, merged_meta, merged)) return;
         out->push_back(std::move(merged));
       },
@@ -242,6 +214,7 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
         return ValueJoinKeyOf(e, right_key_columns).has_value();
       },
       "ValueJoinPruneRight");
+  const MorphismPlan morphism(merged_meta, semantics);
   auto data = left_data.HashJoin<Embedding>(
       right_data,
       [left_key_columns](const Embedding& e) {
@@ -250,11 +223,10 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
       [right_key_columns](const Embedding& e) {
         return *ValueJoinKeyOf(e, right_key_columns);
       },
-      [merged_meta, semantics, residual](const Embedding& l,
-                                         const Embedding& r,
-                                         std::vector<Embedding>* out) {
+      [&](const Embedding& l, const Embedding& r,
+          std::vector<Embedding>* out) {
+        if (!morphism.PairSatisfies(l, r)) return;
         Embedding merged = Embedding::Merge(l, r);
-        if (!SatisfiesMorphism(merged, merged_meta, semantics)) return;
         if (!PassesResidual(residual, merged_meta, merged)) return;
         out->push_back(std::move(merged));
       },
@@ -328,15 +300,21 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
   const bool vertex_iso = semantics.vertex == MatchSemantics::kIsomorphism;
   const bool edge_iso = semantics.edge == MatchSemantics::kIsomorphism;
 
-  // Materialises the embedding of a completed path of k >= 0 hops.
-  auto emit = [=](const FrontierRecord& r, std::vector<Embedding>* out) {
+  // Materialises the embedding of a completed path of k >= 0 hops: the
+  // input row copied once into a buffer sized for the path column and
+  // (unless the end is bound) the end vertex column.
+  const MorphismPlan morphism(result_meta, semantics);
+  auto emit = [=, &morphism](const FrontierRecord& r,
+                             std::vector<Embedding>* out) {
     if (end_bound && r.row->IdAt(bound_end_column) != r.end) return;
     std::vector<uint64_t> via = ViaOf(r);
     if (reverse) std::reverse(via.begin(), via.end());
-    Embedding result = *r.row;
+    Embedding result = r.row->CopyWithRoom(
+        Embedding::kEntryWidth + sizeof(uint32_t) + 8 * via.size() +
+        (end_bound ? 0 : Embedding::kEntryWidth));
     result.AppendPath(via);
     if (!end_bound) result.AppendId(r.end);
-    if (!SatisfiesMorphism(result, result_meta, semantics)) return;
+    if (!morphism.Satisfies(result)) return;
     if (!PassesResidual(residual, result_meta, result)) return;
     out->push_back(std::move(result));
   };

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "dataflow/dataset.h"
+#include "dataflow/flat_build_table.h"
 #include "dataflow/thread_pool.h"
 
 namespace gradoop::dataflow {
@@ -365,6 +366,94 @@ TEST(DatasetTest, PreparedBuildChargesEveryProbeLikeAFreshHashJoin) {
     EXPECT_EQ(s.counters, f.counters);
     EXPECT_EQ(s.outputs, f.outputs);
   }
+}
+
+// The flat build table behind every join: one hot key (5000 equal build
+// keys), duplicate keys, build partitions left empty by the routing, and
+// an empty build side, under both strategies, against a nested loop.
+TEST(DatasetTest, HashJoinFlatTableMatchesNestedLoopReference) {
+  using Rec = std::pair<int, int>;  // (key, tag)
+  const auto key = [](const Rec& r) { return r.first; };
+  const auto joiner = [](const Rec& l, const Rec& r,
+                         std::vector<Rec>* out) {
+    out->push_back({l.second, r.second});
+  };
+  const auto nested_loop = [](const std::vector<Rec>& left,
+                              const std::vector<Rec>& right) {
+    std::vector<Rec> out;
+    for (const Rec& l : left) {
+      for (const Rec& r : right) {
+        if (l.first == r.first) out.push_back({l.second, r.second});
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // Every build key is 3 mod 4: a repartition build sends all of them to
+  // one of the four workers and leaves three build partitions empty.
+  std::vector<Rec> build;
+  int tag = 0;
+  for (int i = 0; i < 5000; ++i) build.push_back({7, tag++});
+  for (const int k : {3, 11, 15, 19}) {
+    for (int dup = 0; dup < k % 5 + 1; ++dup) build.push_back({k, tag++});
+  }
+  std::vector<Rec> probe;
+  for (int round = 0; round < 3; ++round) {
+    for (int k = 0; k < 24; ++k) probe.push_back({k, tag++});
+  }
+  for (const auto strategy :
+       {JoinStrategy::kRepartition, JoinStrategy::kBroadcast}) {
+    for (const std::vector<Rec>& right : {build, std::vector<Rec>{}}) {
+      auto ctx = Ctx(4);
+      const auto joined = Dataset<Rec>::FromVector(ctx, probe)
+                              .HashJoin<Rec>(
+                                  Dataset<Rec>::FromVector(ctx, right), key,
+                                  key, joiner, strategy);
+      std::vector<Rec> got = joined.Collect();
+      std::sort(got.begin(), got.end());
+      const std::vector<Rec> want = nested_loop(probe, right);
+      EXPECT_EQ(got.size(), right.empty() ? 0u : 3u * (5000 + 4 + 2 + 1 + 5));
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST(FlatBuildTableTest, EqualKeysComeBackInBuildOrder) {
+  using Table = FlatBuildTable<int, int>;
+  std::vector<Table::Entry> staged;
+  for (int i = 0; i < 100; ++i) {
+    staged.push_back({std::hash<int>{}(i % 7), i % 7, i});
+  }
+  const Table table(std::move(staged));
+  for (int k = 0; k < 7; ++k) {
+    std::vector<int> refs;
+    table.ForEachMatch(k, std::hash<int>{}(k),
+                       [&](int ref) { refs.push_back(ref); });
+    std::vector<int> want;
+    for (int i = k; i < 100; i += 7) want.push_back(i);
+    EXPECT_EQ(refs, want) << "key " << k;
+  }
+  int misses = 0;
+  table.ForEachMatch(7, std::hash<int>{}(7), [&](int) { ++misses; });
+  EXPECT_EQ(misses, 0);
+}
+
+TEST(FlatBuildTableTest, CollidingHashesStillCompareKeys) {
+  // Every entry carries the same hash, so all land in one bucket; only
+  // the key comparison tells them apart.
+  using Table = FlatBuildTable<std::string, int>;
+  std::vector<Table::Entry> staged;
+  for (int i = 0; i < 50; ++i) staged.push_back({42, std::to_string(i % 5), i});
+  const Table table(std::move(staged));
+  std::vector<int> refs;
+  table.ForEachMatch("3", 42, [&](int ref) { refs.push_back(ref); });
+  EXPECT_EQ(refs, (std::vector<int>{3, 8, 13, 18, 23, 28, 33, 38, 43, 48}));
+  refs.clear();
+  table.ForEachMatch("3", 41, [&](int ref) { refs.push_back(ref); });
+  EXPECT_TRUE(refs.empty());
+  const Table empty;
+  empty.ForEachMatch("3", 42, [&](int ref) { refs.push_back(ref); });
+  EXPECT_TRUE(refs.empty());
 }
 
 TEST(DatasetTest, CountMatchesCollect) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "query/embedding.h"
+#include "query/embedding_batch.h"
 #include "query/embedding_meta_data.h"
 
 namespace gradoop::query {
@@ -184,6 +185,152 @@ TEST(EmbeddingTest, ToStringIsReadable) {
   e.AppendId(30);
   e.AppendProperty(PropertyValue("Alice"));
   EXPECT_EQ(e.ToString(), "[10, path(5,20,7), 30 | Alice]");
+}
+
+// --- wire goldens -------------------------------------------------------------
+//
+// The EncodeTo bytes below were captured from the three-array embedding
+// that predates the one-buffer layout; the layout change must not move a
+// single wire byte.
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// Checks the golden wire bytes, the DecodeFrom round trip and equality.
+void ExpectWire(const Embedding& e, const std::string& golden_hex) {
+  std::string wire;
+  e.EncodeTo(&wire);
+  EXPECT_EQ(Hex(wire), golden_hex);
+  EXPECT_EQ(wire.size(), e.SerializedSize());
+  EXPECT_EQ(e.id_data().size() + e.path_data().size() + e.prop_data().size() +
+                3 * sizeof(uint32_t),
+            wire.size());
+  size_t pos = 0;
+  auto decoded = Embedding::DecodeFrom(wire, &pos);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(pos, wire.size());
+  EXPECT_EQ(decoded.value(), e);
+  EXPECT_EQ(decoded.value().ToString(), e.ToString());
+  EXPECT_EQ(decoded.value().NumProperties(), e.NumProperties());
+  Embedding copy = e;
+  EXPECT_EQ(copy, e);
+  copy.AppendId(1);
+  EXPECT_FALSE(copy == e);
+}
+
+TEST(EmbeddingWireGoldenTest, PaperSection33Example) {
+  Embedding e;
+  e.AppendId(10);
+  e.AppendPath({5, 20, 7});
+  e.AppendId(30);
+  e.AppendProperty(PropertyValue("Alice"));
+  e.AppendProperty(PropertyValue("Bob"));
+  ExpectWire(e,
+             "1b000000000a00000000000000010000000000000000001e000000000000001c"
+             "000000030000000500000000000000140000000000000007000000000000001a"
+             "0000000a0000000405000000416c696365080000000403000000426f62");
+}
+
+TEST(EmbeddingWireGoldenTest, MergeRebasesRightPathsOverLeftPaths) {
+  Embedding left;
+  left.AppendId(10);
+  left.AppendPath({5, 20, 7});
+  left.AppendProperty(PropertyValue("Alice"));
+  Embedding right;
+  right.AppendPath({8, 9});
+  right.AppendId(30);
+  right.AppendPath({});
+  right.AppendProperty(PropertyValue(int64_t{7}));
+  const Embedding merged = Embedding::Merge(left, right);
+  EXPECT_EQ(merged.PathAt(2), (std::vector<uint64_t>{8, 9}));
+  EXPECT_EQ(merged.PathAt(4), (std::vector<uint64_t>{}));
+  ExpectWire(merged,
+             "2d000000000a00000000000000010000000000000000011c0000000000000000"
+             "1e00000000000000013000000000000000340000000300000005000000000000"
+             "0014000000000000000700000000000000020000000800000000000000090000"
+             "0000000000000000001b0000000a0000000405000000416c6963650900000002"
+             "0700000000000000");
+}
+
+TEST(EmbeddingWireGoldenTest, ExpandAppendsPathAndIdAfterProperties) {
+  // Expand copies a row that already carries properties, then appends
+  // the path column and the end vertex: both land in front of propData.
+  Embedding e;
+  e.AppendId(1);
+  e.AppendId(2);
+  e.AppendProperty(PropertyValue(2.5));
+  e.AppendProperty(PropertyValue(true));
+  Embedding grown = e.CopyWithRoom(64);
+  grown.AppendPath({11, 12, 13});
+  grown.AppendId(14);
+  EXPECT_EQ(grown.PropertyAt(0), PropertyValue(2.5));
+  EXPECT_EQ(grown.IdAt(3), 14u);
+  const std::string golden =
+      "2400000000010000000000000000020000000000000001000000000000000000"
+      "0e000000000000001c000000030000000b000000000000000c00000000000000"
+      "0d000000000000001300000009000000030000000000000440020000000101";
+  ExpectWire(grown, golden);
+  // Appending to a plain copy gives the same bytes.
+  Embedding copied = e;
+  copied.AppendPath({11, 12, 13});
+  copied.AppendId(14);
+  ExpectWire(copied, golden);
+}
+
+TEST(EmbeddingWireGoldenTest, RowAtInterleavesIdAndPathColumns) {
+  EmbeddingBatch b({Embedding::kIdFlag, Embedding::kPathFlag,
+                    Embedding::kIdFlag, Embedding::kPathFlag},
+                   2);
+  b.PushId(0, 100);
+  b.PushPath(1, {3, 4, 5});
+  b.PushId(2, 200);
+  b.PushPath(3, {6});
+  b.PushProperty(PropertyValue("p"));
+  b.PushProperty(PropertyValue::Null());
+  b.CommitRow();
+  b.PushId(0, 101);
+  b.PushPath(1, {});
+  b.PushId(2, 201);
+  b.PushPath(3, {7, 8, 9});
+  b.PushProperty(PropertyValue(int64_t{-1}));
+  b.PushProperty(PropertyValue("q"));
+  b.CommitRow();
+  ExpectWire(b.RowAt(0),
+             "2400000000640000000000000001000000000000000000c80000000000000001"
+             "1c00000000000000280000000300000003000000000000000400000000000000"
+             "05000000000000000100000006000000000000000f0000000600000004010000"
+             "00700100000000");
+  ExpectWire(b.RowAt(1),
+             "2400000000650000000000000001000000000000000000c90000000000000001"
+             "0400000000000000200000000000000003000000070000000000000008000000"
+             "000000000900000000000000170000000900000002ffffffffffffffff060000"
+             "00040100000071");
+  // AppendRow is RowAt's inverse.
+  EmbeddingBatch again({Embedding::kIdFlag, Embedding::kPathFlag,
+                        Embedding::kIdFlag, Embedding::kPathFlag},
+                       2);
+  again.AppendRow(b.RowAt(1));
+  EXPECT_EQ(again.RowAt(0), b.RowAt(1));
+}
+
+TEST(EmbeddingTest, MovedFromEmbeddingIsEmpty) {
+  Embedding e;
+  e.AppendId(10);
+  e.AppendPath({5, 20, 7});
+  e.AppendProperty(PropertyValue("Alice"));
+  const Embedding copy = e;
+  Embedding moved = std::move(e);
+  EXPECT_EQ(moved, copy);
+  EXPECT_EQ(e, Embedding());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(e.NumIdEntries(), 0);
+  EXPECT_EQ(e.NumProperties(), 0);
 }
 
 // --- EmbeddingMetaData ------------------------------------------------------

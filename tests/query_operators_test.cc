@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <string>
 
 #include "cypher/parser.h"
 #include "cypher/query_graph.h"
+#include "query/batch_operators.h"
+#include "query/naive_matcher.h"
 #include "query/operators.h"
 
 namespace gradoop::query {
@@ -351,6 +357,212 @@ TEST(JoinEmbeddingsTest, BroadcastMatchesRepartition) {
                 dataflow::JoinStrategy::kBroadcast);
   EXPECT_EQ(a.data.Collect().size(), 2u);
   EXPECT_EQ(b.data.Collect().size(), 2u);
+}
+
+// --- join keys and placement -------------------------------------------------
+
+// The bytes the id join key used to be materialised as: the ids of
+// `columns` concatenated, 8 bytes each.
+std::string IdKeyBytes(const Embedding& e, const std::vector<int>& columns) {
+  std::string bytes;
+  for (const int c : columns) {
+    const uint64_t id = e.IdAt(c);
+    char buf[8];
+    std::memcpy(buf, &id, 8);
+    bytes.append(buf, 8);
+  }
+  return bytes;
+}
+
+TEST(JoinPlacementTest, IdJoinKeyHashesTheConcatenatedIdBytes) {
+  uint64_t state = 0x243F6A8885A308D3ull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 7;
+  };
+  const std::vector<std::vector<int>> key_columns = {{2}, {3, 0}, {1, 3, 2}};
+  for (const std::vector<int>& columns : key_columns) {
+    for (int i = 0; i < 200; ++i) {
+      Embedding e;
+      for (int c = 0; c < 4; ++c) e.AppendId(i < 3 ? c : next());
+      EXPECT_EQ(std::hash<IdJoinKey>{}(IdJoinKey{&e, &columns}),
+                std::hash<std::string>{}(IdKeyBytes(e, columns)))
+          << columns.size() << " columns";
+    }
+  }
+}
+
+// Both engines place every joined row on hash(key bytes) % p, the
+// placement the partitioning claims and audit assume.
+TEST(JoinPlacementTest, BothEnginesPlaceJoinedRowsByTheKeyBytes) {
+  auto ctx = Ctx();
+  const int p = ctx->num_workers();
+  ASSERT_GT(p, 1);
+  std::vector<std::vector<uint64_t>> rows;
+  for (uint64_t i = 0; i < 64; ++i) rows.push_back({i % 13, i % 5, i % 7});
+  const std::vector<std::string> vars = {"a", "b", "c"};
+  const std::vector<EntryType> types(3, EntryType::kVertex);
+  const EmbeddingSet left = MakeSet(ctx, rows, vars, types);
+  const EmbeddingSet right = MakeSet(ctx, rows, vars, types);
+  const EmbeddingMetaData merged = EmbeddingMetaData::Merge(left.meta,
+                                                            right.meta);
+  for (const std::vector<int>& columns :
+       std::vector<std::vector<int>>{{0}, {1, 2}, {2, 0, 1}}) {
+    const auto placed = [&](const Embedding& e, int partition) {
+      const size_t hash = std::hash<std::string>{}(IdKeyBytes(e, columns));
+      return hash % static_cast<size_t>(p) == static_cast<size_t>(partition);
+    };
+    const EmbeddingSet row_join =
+        JoinEmbeddings(left, right, columns, columns, merged,
+                       MorphismSetting::FullHomomorphism());
+    const BatchSet batch_join = JoinBatches(
+        RowsToBatches(left, 16), RowsToBatches(right, 16), columns, columns,
+        merged, MorphismSetting::FullHomomorphism(),
+        dataflow::JoinStrategy::kRepartition, {}, {}, 16);
+    uint64_t row_count = 0, batch_count = 0;
+    for (int part = 0; part < p; ++part) {
+      for (const Embedding& e : row_join.data.partition(part)) {
+        EXPECT_TRUE(placed(e, part)) << columns.size() << " columns";
+        ++row_count;
+      }
+      for (const EmbeddingBatch& b : batch_join.data.partition(part)) {
+        for (uint32_t i = 0; i < b.ActiveRows(); ++i) {
+          EXPECT_TRUE(placed(b.RowAt(b.ActiveRow(i)), part))
+              << columns.size() << " columns";
+          ++batch_count;
+        }
+      }
+    }
+    EXPECT_GT(row_count, 0u);
+    EXPECT_EQ(batch_count, row_count);
+  }
+}
+
+// --- morphism before merge ----------------------------------------------------
+
+NaiveBinding ToBinding(const Embedding& e, const EmbeddingMetaData& meta) {
+  NaiveBinding b;
+  for (const std::string& var : meta.Variables()) {
+    const int c = meta.IdColumn(var);
+    if (e.IsPathEntry(c)) {
+      b.paths[var] = e.PathAt(c);
+    } else {
+      b.elements[var] = e.IdAt(c);
+    }
+  }
+  return b;
+}
+
+// Merge-then-check, written out independently of MorphismPlan.
+bool MergedRowSatisfies(const Embedding& m, const EmbeddingMetaData& meta,
+                        const MorphismSetting& semantics) {
+  const auto distinct = [](std::vector<uint64_t> ids) {
+    std::sort(ids.begin(), ids.end());
+    return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+  };
+  if (semantics.vertex == MatchSemantics::kIsomorphism) {
+    std::vector<uint64_t> ids;
+    for (const int c : meta.VertexColumns()) ids.push_back(m.IdAt(c));
+    if (!distinct(ids)) return false;
+  }
+  if (semantics.edge == MatchSemantics::kIsomorphism) {
+    std::vector<uint64_t> ids;
+    for (const int c : meta.EdgeColumns()) ids.push_back(m.IdAt(c));
+    for (const int c : meta.PathColumns()) {
+      const std::vector<uint64_t> via = m.PathAt(c);
+      for (size_t i = 0; i < via.size(); i += 2) ids.push_back(via[i]);
+    }
+    if (!distinct(ids)) return false;
+  }
+  return true;
+}
+
+// (a)-[e1]->(b) joined on b with (b)-[p*1..3]->(c): the pairs a join must
+// drop conflict only in the right side's path (it walks e1 again) or only
+// across the sides' vertex columns (c is a), while b's duplicate column
+// is no conflict. The pair check before the merge must keep exactly what
+// merge-then-check keeps, and both must equal the naive oracle.
+TEST(JoinMorphismTest, PairCheckEqualsMergeThenCheckAndNaiveOracle) {
+  const std::vector<Vertex> vertices = {Vertex(1, "V", {}), Vertex(2, "V", {}),
+                                        Vertex(3, "V", {})};
+  const std::vector<Edge> edge_list = {
+      Edge(100, "knows", 1, 2), Edge(101, "knows", 2, 3),
+      Edge(102, "knows", 3, 1), Edge(103, "knows", 3, 2)};
+  const QueryGraph qg = QG("MATCH (a)-[e1]->(b)-[p*1..3]->(c) RETURN *");
+  const cypher::QueryEdge* e1 = nullptr;
+  for (const auto& qe : qg.edges()) {
+    if (qe.variable == "e1") e1 = &qe;
+  }
+  const cypher::QueryVertex* b_vertex = nullptr;
+  for (const auto& qv : qg.vertices()) {
+    if (qv.variable == "b") b_vertex = &qv;
+  }
+  ASSERT_NE(e1, nullptr);
+  ASSERT_NE(b_vertex, nullptr);
+  const NaiveMatcher oracle(vertices, edge_list);
+
+  NaiveBinding edge_conflict;  // p walks e1 = 100 again
+  edge_conflict.elements = {{"a", 1}, {"e1", 100}, {"b", 2}, {"c", 2}};
+  edge_conflict.paths = {{"p", {101, 3, 102, 1, 100}}};
+  NaiveBinding vertex_conflict;  // c binds a's vertex
+  vertex_conflict.elements = {{"a", 1}, {"e1", 100}, {"b", 2}, {"c", 1}};
+  vertex_conflict.paths = {{"p", {101, 3, 102}}};
+
+  std::map<std::string, std::vector<NaiveBinding>> kept;
+  for (const auto& [name, semantics] :
+       std::vector<std::pair<std::string, MorphismSetting>>{
+           {"iso", MorphismSetting::FullIsomorphism()},
+           {"homo", MorphismSetting::FullHomomorphism()},
+           {"neo4j", MorphismSetting::Neo4j()}}) {
+    for (const auto strategy : {dataflow::JoinStrategy::kRepartition,
+                                dataflow::JoinStrategy::kBroadcast}) {
+      auto ctx = Ctx();
+      const auto edges = dataflow::Dataset<Edge>::FromVector(ctx, edge_list);
+      const auto vertex_ds =
+          dataflow::Dataset<Vertex>::FromVector(ctx, vertices);
+      const EmbeddingSet left = ScanEdges(edges, qg, *e1, {}, {}, semantics);
+      const EmbeddingSet starts = SelectAndProjectVertices(
+          vertex_ds, *b_vertex, {}, VertexScanMeta(*b_vertex, {}));
+      const EmbeddingSet right =
+          Expand(starts, edges, "b", "p", "c", 1, 3, false, semantics);
+      const EmbeddingSet joined = Join(left, right, {"b"}, semantics,
+                                       strategy);
+
+      std::vector<NaiveBinding> actual;
+      for (const Embedding& e : joined.data.Collect()) {
+        actual.push_back(ToBinding(e, joined.meta));
+      }
+      std::vector<NaiveBinding> merged_then_checked;
+      const int lb = left.meta.IdColumn("b");
+      const int rb = right.meta.IdColumn("b");
+      for (const Embedding& l : left.data.Collect()) {
+        for (const Embedding& r : right.data.Collect()) {
+          if (l.IdAt(lb) != r.IdAt(rb)) continue;
+          const Embedding m = Embedding::Merge(l, r);
+          if (!MergedRowSatisfies(m, joined.meta, semantics)) continue;
+          merged_then_checked.push_back(ToBinding(m, joined.meta));
+        }
+      }
+      std::vector<NaiveBinding> expected = oracle.FindMatches(qg, semantics);
+      std::sort(actual.begin(), actual.end());
+      std::sort(merged_then_checked.begin(), merged_then_checked.end());
+      std::sort(expected.begin(), expected.end());
+      EXPECT_FALSE(expected.empty()) << name;
+      EXPECT_EQ(actual, merged_then_checked) << name;
+      EXPECT_EQ(actual, expected) << name;
+      kept[name] = actual;
+    }
+  }
+  const auto has = [&](const std::string& name, const NaiveBinding& b) {
+    return std::binary_search(kept[name].begin(), kept[name].end(), b);
+  };
+  // The conflicts are real: homomorphism keeps both rows, edge
+  // isomorphism drops the path conflict, vertex isomorphism the other.
+  EXPECT_TRUE(has("homo", edge_conflict));
+  EXPECT_FALSE(has("neo4j", edge_conflict));
+  EXPECT_TRUE(has("homo", vertex_conflict));
+  EXPECT_TRUE(has("neo4j", vertex_conflict));
+  EXPECT_FALSE(has("iso", vertex_conflict));
 }
 
 TEST(JoinEmbeddingsTest, ResidualClauseFiltersMergedRows) {
