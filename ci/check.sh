@@ -14,8 +14,8 @@
 #   ci/check.sh              # everything
 #   ci/check.sh plain        # just one tree (plain|asan|tsan)
 #   ci/check.sh concurrency  # concurrency lint + -Wthread-safety build
-#   ci/check.sh perfbench    # perfbench harness tests, driver build, and
-#                            # seed-42 interactive/paths runs
+#   ci/check.sh perfbench    # perfbench harness tests, -Werror driver
+#                            # build, seed-42 interactive/paths/analytic runs
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -347,20 +347,22 @@ fi
 # Benchmark-harness stage (perfbench/README.md): run.py's and compare.py's
 # unit tests against a fake driver — argument handling, metric
 # derivation, count checks and verdicts — then the real driver, built
-# from perfbench/CMakeLists.txt the way run.py builds it, so an engine
-# API change that breaks it fails here rather than in a benchmark run.
-# Last, a one-second run of the row-engine (interactive) and batch-engine
-# (paths) workloads at seed 42: run.py exits 1 when a match count differs
-# from its pinned seed-42 counts and 2 when a step fails, so both engines
-# are checked end to end on the LDBC graphs.
+# from perfbench/CMakeLists.txt the way run.py builds it (a Release
+# tree, here with -Werror so an -O3-only warning fails the stage), so an
+# engine API change that breaks it fails here rather than in a benchmark
+# run. Last, a one-second run of each workload at seed 42 — row engine
+# (interactive), batch engine (paths) and the sf 10 row joins (analytic):
+# run.py exits 1 when a match count differs from its pinned seed-42
+# counts and 2 when a step fails, so both engines are checked end to end
+# on the LDBC graphs.
 if [[ "${ONLY}" == "all" || "${ONLY}" == "perfbench" ]]; then
   echo "=== [perfbench] perfbench harness unit tests ==="
   python3 -m unittest discover -s "${ROOT}/perfbench/tests"
   echo "=== [perfbench] build the benchmark driver ==="
   cmake -B "${OUT}/perfbench" -S "${ROOT}/perfbench" \
-    -DCMAKE_BUILD_TYPE=Release >/dev/null
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build "${OUT}/perfbench" -j "${JOBS}" --target gradoop_perfbench
-  for workload in interactive paths; do
+  for workload in interactive paths analytic; do
     echo "=== [perfbench] ${workload} workload, seed 42, pinned counts ==="
     python3 "${ROOT}/perfbench/run.py" --workload "${workload}" --seed 42 \
       --seconds 1

@@ -55,7 +55,11 @@ std::vector<std::string> IntersectLabels(const std::vector<std::string>& a,
 }
 
 std::string Quoted(const PropertyValue& value) {
-  return value.is_string() ? "'" + value.ToString() + "'" : value.ToString();
+  if (!value.is_string()) return value.ToString();
+  std::string out = "'";
+  out += value.ToString();
+  out += '\'';
+  return out;
 }
 
 enum class VarKind { kVertex, kEdge };

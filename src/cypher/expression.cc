@@ -46,6 +46,17 @@ SourceSpan SpanOf(const ExpressionPtr& e) {
   return e == nullptr ? SourceSpan{} : e->span();
 }
 
+// open + inner + close, built by appends: GCC 12 at -O3 reports a false
+// -Wrestrict overlap inside the operator+ that "literal" + std::string
+// selects.
+std::string Wrapped(const char* open, const std::string& inner,
+                    const char* close) {
+  std::string out = open;
+  out += inner;
+  out += close;
+  return out;
+}
+
 }  // namespace
 
 ExpressionPtr Expression::Literal(epgm::PropertyValue value, SourceSpan span) {
@@ -141,7 +152,7 @@ void Expression::CollectVariables(std::set<std::string>* out) const {
 std::string Expression::ToString() const {
   switch (kind_) {
     case ExprKind::kLiteral:
-      return literal_.is_string() ? "'" + literal_.ToString() + "'"
+      return literal_.is_string() ? Wrapped("'", literal_.ToString(), "'")
                                   : literal_.ToString();
     case ExprKind::kPropertyAccess:
       return variable_ + "." + property_key_;
@@ -151,13 +162,16 @@ std::string Expression::ToString() const {
       return left_->ToString() + " " + ComparisonOpName(op_) + " " +
              right_->ToString();
     case ExprKind::kAnd:
-      return "(" + left_->ToString() + " AND " + right_->ToString() + ")";
+      return Wrapped("(", left_->ToString() + " AND " + right_->ToString(),
+                     ")");
     case ExprKind::kOr:
-      return "(" + left_->ToString() + " OR " + right_->ToString() + ")";
+      return Wrapped("(", left_->ToString() + " OR " + right_->ToString(),
+                     ")");
     case ExprKind::kXor:
-      return "(" + left_->ToString() + " XOR " + right_->ToString() + ")";
+      return Wrapped("(", left_->ToString() + " XOR " + right_->ToString(),
+                     ")");
     case ExprKind::kNot:
-      return "NOT (" + left_->ToString() + ")";
+      return Wrapped("NOT (", left_->ToString(), ")");
   }
   return "?";
 }

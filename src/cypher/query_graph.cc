@@ -249,10 +249,13 @@ std::string QueryGraph::ToString() const {
       }
     }
     if (e.IsVariableLength()) {
-      out += "*" + std::to_string(e.lower_bound) + ".." +
-             std::to_string(e.upper_bound);
+      out += '*';
+      out += std::to_string(e.lower_bound);
+      out += "..";
+      out += std::to_string(e.upper_bound);
     }
-    out += "]->" + vertices_[e.target].variable;
+    out += "]->";
+    out += vertices_[e.target].variable;
   }
   out += ")";
   return out;

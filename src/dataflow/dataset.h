@@ -86,6 +86,12 @@ struct ExchangeTally {
 template <typename T>
 class Dataset;
 
+// A record routed through an exchange by reference: the std::hash of
+// its key that placed it, the key, and a pointer into the exchange's
+// input — the entry a join's build table keeps.
+template <typename T, typename K>
+using RoutedRecord = BuildEntry<K, const T*>;
+
 // The build side of a join, exchanged and hashed once by
 // Dataset::PrepareBuild and probed any number of times by
 // Dataset::ProbeJoin. It also holds the pricing of its exchange and build
@@ -96,14 +102,21 @@ class JoinBuildSide {
  private:
   template <typename>
   friend class Dataset;
+  using Table = FlatBuildTable<K, const U*>;
 
-  // The exchanged records; the per-partition tables point into them.
-  std::shared_ptr<const std::vector<std::vector<U>>> parts_;
-  std::vector<FlatBuildTable<K, const U*>> tables_;
+  // A broadcast build gives every worker the same table, so it keeps one.
+  const Table& TableOf(int worker) const {
+    return tables_[exchange_.broadcast ? 0 : static_cast<size_t>(worker)];
+  }
+
+  // The build input's partitions: the tables point into them.
+  std::shared_ptr<const std::vector<std::vector<U>>> input_;
+  std::vector<Table> tables_;
   ExchangeTally exchange_;        // unless adopted in place
   bool prepartitioned_ = false;   // adopted: replays as an elided shuffle
-  std::vector<uint64_t> state_bytes_;  // serialized bytes hashed per worker
-  uint64_t bytes_ = 0;                 // their sum: the staged build input
+  std::vector<uint64_t> state_bytes_;    // serialized bytes hashed per worker
+  std::vector<uint64_t> state_records_;  // records hashed per worker
+  uint64_t bytes_ = 0;                   // their sum: the staged build input
 };
 
 // A distributed dataset: `num_workers` partitions, partition i owned by
@@ -114,7 +127,9 @@ class JoinBuildSide {
 // budget).
 //
 // Dataset values are cheap shared handles; transformations return new
-// datasets and never mutate their input.
+// datasets and never mutate their input. Exchanges route pointers to
+// their input's records rather than copies of them, so an exchange's
+// input lives at least until the stage consuming the exchange ends.
 template <typename T>
 class Dataset {
  public:
@@ -278,46 +293,108 @@ class Dataset {
 
   // Partition-wise concatenation (narrow; Flink's union is not a shuffle).
   Dataset<T> Union(const Dataset<T>& other) const {
-    assert(num_partitions() == other.num_partitions());
-    auto out = std::make_shared<Partitions>(num_partitions());
-    for (int p = 0; p < num_partitions(); ++p) {
-      auto& dst = (*out)[p];
-      dst = (*partitions_)[p];
-      dst.insert(dst.end(), other.partition(p).begin(),
-                 other.partition(p).end());
+    return Concat(ctx_, {*this, other});
+  }
+
+  // Partition-wise concatenation of `inputs`, in order. Union is free in
+  // Flink (a pure stream merge), so no stage is charged. The records of
+  // an input no other handle shares are moved, the others copied; a
+  // single input is returned as is.
+  static Dataset Concat(ExecutionContextPtr ctx, std::vector<Dataset> inputs) {
+    if (inputs.size() == 1) return std::move(inputs.front());
+    const int p = ctx->num_workers();
+    auto out = std::make_shared<Partitions>(p);
+    for (int part = 0; part < p; ++part) {
+      auto& dst = (*out)[part];
+      size_t n = 0;
+      // cancellation: O(inputs) size walk, no per-record work.
+      for (const Dataset& in : inputs) n += in.partition(part).size();
+      dst.reserve(n);
+      // cancellation: splices already-materialized partitions; the kernels
+      // that produced them polled per record.
+      for (Dataset& in : inputs) {
+        auto& src = (*in.partitions_)[part];
+        if (in.partitions_.use_count() == 1) {
+          dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+                     std::make_move_iterator(src.end()));
+        } else {
+          dst.insert(dst.end(), src.begin(), src.end());
+        }
+      }
     }
-    // Union is free in Flink (pure stream merge) — no stage charged.
-    return Dataset<T>(ctx_, std::move(out));
+    return Dataset(std::move(ctx), std::move(out));
+  }
+
+  // Narrow stage over the partition-wise concatenation of `inputs` (what
+  // Concat would build), read in place: fn(partition_index, pieces, &out)
+  // sees partition p of every input, in order, as `pieces`. Priced like
+  // MapPartition over that concatenation.
+  template <typename U, typename F>
+  static Dataset<U> MapPartitions(const ExecutionContextPtr& ctx,
+                                  const std::vector<Dataset>& inputs, F fn,
+                                  const char* label) {
+    const int p = ctx->num_workers();
+    auto out = std::make_shared<typename Dataset<U>::Partitions>(p);
+    std::vector<uint64_t> in_counts(p, 0);
+    std::vector<uint64_t> out_counts(p, 0);
+    ctx->pool().RunAndWait(
+        p,
+        [&](int part) {
+          std::vector<const std::vector<T>*> pieces;
+          pieces.reserve(inputs.size());
+          // cancellation: O(inputs) walk; `fn` polls per record.
+          for (const Dataset& in : inputs) {
+            pieces.push_back(&in.partition(part));
+            in_counts[part] += in.partition(part).size();
+          }
+          fn(part, pieces, &(*out)[part]);
+          out_counts[part] = (*out)[part].size();
+        },
+        label);
+    Dataset<U> result(ctx, std::move(out));
+    result.ChargePerPartition(label, in_counts, out_counts);
+    return result;
   }
 
   // Hash-partitions records so that equal keys land on the same worker.
-  // `key(rec)` must return an unsigned integral or hashable key.
+  // `key(rec)` must return an unsigned integral or hashable key. The one
+  // exchange that copies records: its contract returns them as values.
   template <typename KeyFn>
   Dataset<T> RepartitionByKey(KeyFn key,
                               const char* label = "Repartition") const {
-    auto out = std::make_shared<Partitions>(num_partitions());
-    ShuffleInto(key, *partitions_, out.get(), label);
+    using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
+    const double span_begin_us = SpanBegin();
+    const std::hash<K> hasher;
+    const size_t p = static_cast<size_t>(num_partitions());
+    auto out = std::make_shared<Partitions>();
+    const ExchangeTally tally =
+        Route(out.get(), [&](const T& rec, int, auto deliver) {
+          deliver(static_cast<int>(hasher(key(rec)) % p), rec);
+        });
+    ChargeExchange(tally, label, span_begin_us);
     return Dataset<T>(ctx_, std::move(out));
   }
 
   // Removes records with duplicate keys (shuffle + per-partition dedup).
   template <typename KeyFn>
   Dataset<T> Distinct(KeyFn key, const char* label = "Distinct") const {
-    Dataset<T> shuffled = RepartitionByKey(key, label);
-    const uint64_t staged_bytes = ChargeTransient(shuffled);
+    auto routed = ShuffleByKey(key, label);
+    const uint64_t staged_bytes = ChargeStaged();
     using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
     auto out = std::make_shared<Partitions>(num_partitions());
     std::vector<uint64_t> in_counts(num_partitions(), 0);
     std::vector<uint64_t> out_counts(num_partitions(), 0);
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition("DistinctLocal", [&](int p) {
-      const auto& src = shuffled.partition(p);
+      auto& src = routed[p];
       auto& dst = (*out)[p];
       std::unordered_map<K, bool> seen;
       seen.reserve(src.size());
-      for (const T& rec : src) {
+      for (RoutedRecord<T, K>& r : src) {
         if (cancel.CheckCancelled()) break;
-        if (seen.emplace(key(rec), true).second) dst.push_back(rec);
+        if (seen.emplace(std::move(r.key), true).second) {
+          dst.push_back(*r.ref);
+        }
       }
       in_counts[p] = src.size();
       out_counts[p] = dst.size();
@@ -335,24 +412,24 @@ class Dataset {
                    const char* label = "ReduceByKey") const {
     using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
     using A = std::decay_t<std::invoke_result_t<Init, const T&>>;
-    Dataset<T> shuffled = RepartitionByKey(key, label);
-    const uint64_t staged_bytes = ChargeTransient(shuffled);
     using OutT = std::pair<K, A>;
+    auto routed = ShuffleByKey(key, label);
+    const uint64_t staged_bytes = ChargeStaged();
     auto out =
         std::make_shared<typename Dataset<OutT>::Partitions>(num_partitions());
     std::vector<uint64_t> in_counts(num_partitions(), 0);
     std::vector<uint64_t> out_counts(num_partitions(), 0);
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition("ReduceLocal", [&](int p) {
-      const auto& src = shuffled.partition(p);
+      auto& src = routed[p];
       std::unordered_map<K, A> groups;
-      for (const T& rec : src) {
+      for (RoutedRecord<T, K>& r : src) {
         if (cancel.CheckCancelled()) break;
-        auto it = groups.find(key(rec));
+        auto it = groups.find(r.key);
         if (it == groups.end()) {
-          groups.emplace(key(rec), init(rec));
+          groups.emplace(std::move(r.key), init(*r.ref));
         } else {
-          it->second = reducer(std::move(it->second), rec);
+          it->second = reducer(std::move(it->second), *r.ref);
         }
       }
       auto& dst = (*out)[p];
@@ -393,48 +470,59 @@ class Dataset {
   // re-shuffling it every superstep. Charges nothing: each ProbeJoin
   // charges the exchange and the build as if it had run them itself.
   // `prepartitioned` adopts the layout in place (a shuffle the
-  // partitioning analysis elided; audited like HashJoin's hints).
+  // partitioning analysis elided; audited like HashJoin's hints). The
+  // tables point into this dataset's records, which the build side keeps
+  // alive.
   template <typename KeyFn>
   auto PrepareBuild(KeyFn key, JoinStrategy strategy, const char* label,
                     bool prepartitioned = false) const {
     using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
+    using Build = JoinBuildSide<T, K>;
     const double span_begin_us = SpanBegin();
-    JoinBuildSide<T, K> build;
-    if (strategy == JoinStrategy::kBroadcast) {
-      auto parts = std::make_shared<Partitions>();
-      build.exchange_ = ReplicateInto(*partitions_, parts.get());
-      build.parts_ = std::move(parts);
-    } else if (prepartitioned) {
-      AuditPrepartitioned(key, *partitions_, label);
-      build.prepartitioned_ = true;
-      build.parts_ = partitions_;
-    } else {
-      auto parts = std::make_shared<Partitions>();
-      build.exchange_ = RouteByKey(key, *partitions_, parts.get());
-      build.parts_ = std::move(parts);
-    }
     const int p = num_partitions();
-    build.tables_.resize(p);
+    Build build;
+    build.input_ = partitions_;
     build.state_bytes_.assign(p, 0);
-    common::CancellationToken& cancel = ctx_->cancellation();
+    build.state_records_.assign(p, 0);
     const std::string build_label = std::string(label) + "/Build";
-    const std::hash<K> hasher;
-    using Table = FlatBuildTable<K, const T*>;
-    RunPerPartition(build_label.c_str(), [&](int part) {
-      const auto& rsrc = (*build.parts_)[part];
-      std::vector<typename Table::Entry> staged;
-      staged.reserve(rsrc.size());
-      uint64_t bytes = 0;
-      for (const T& rec : rsrc) {
-        if (cancel.CheckCancelled()) break;
-        K k = key(rec);
-        const size_t hash = hasher(k);
-        staged.push_back({hash, std::move(k), &rec});
-        bytes += RecordBytes(rec);
+    std::vector<std::vector<RoutedRecord<T, K>>> staged;
+    if (strategy == JoinStrategy::kBroadcast) {
+      // Every worker receives the whole build side, so one table in
+      // source-partition order serves them all.
+      build.exchange_ = BroadcastTally();
+      staged.resize(p);
+      RunPerPartition(build_label.c_str(),
+                      [&](int part) { staged[part] = LocalRefs(key, part); });
+      std::vector<RoutedRecord<T, K>> all;
+      all.reserve(build.exchange_.records);
+      // cancellation: moves entries staged while polling per record.
+      for (auto& part : staged) {
+        all.insert(all.end(), std::make_move_iterator(part.begin()),
+                   std::make_move_iterator(part.end()));
       }
-      build.tables_[part] = Table(std::move(staged));
-      build.state_bytes_[part] = bytes;
-    });
+      build.tables_.emplace_back(std::move(all));
+      const uint64_t bytes = TotalBytes(*partitions_);
+      build.state_bytes_.assign(p, bytes);
+      build.state_records_.assign(p, build.exchange_.records);
+    } else {
+      if (prepartitioned) {
+        AuditPrepartitioned(key, *partitions_, label);
+        build.prepartitioned_ = true;
+        staged.resize(p);
+      } else {
+        build.exchange_ = RouteByKey(key, &staged);
+      }
+      build.tables_.resize(p);
+      RunPerPartition(build_label.c_str(), [&](int part) {
+        if (prepartitioned) staged[part] = LocalRefs(key, part);
+        uint64_t bytes = 0;
+        // cancellation: byte walk over entries routed while polling.
+        for (const auto& r : staged[part]) bytes += RecordBytes(*r.ref);
+        build.state_bytes_[part] = bytes;
+        build.state_records_[part] = staged[part].size();
+        build.tables_[part] = typename Build::Table(std::move(staged[part]));
+      });
+    }
     for (const uint64_t b : build.state_bytes_) build.bytes_ += b;
     if (ctx_->telemetry().enabled()) {
       telemetry::Telemetry& tel = ctx_->telemetry();
@@ -450,74 +538,83 @@ class Dataset {
   // prices exactly like one HashJoin: the probe side's exchange (none
   // under a broadcast build; adopted in place when `left_prepartitioned`),
   // then the build side's exchange replayed, then one build/probe stage
-  // whose staged inputs and table entries charge the accountant. When
-  // `probe_side` is set it receives the probe input as exchanged, so
-  // joiner outputs may keep pointers to the probe records they came from.
+  // whose staged inputs and table entries charge the accountant. The
+  // joiner sees the probe records where they are in this dataset, so
+  // outputs that keep pointers to them must keep this dataset alive.
   template <typename Out, typename U, typename K, typename KeyL,
             typename Joiner>
   Dataset<Out> ProbeJoin(const JoinBuildSide<U, K>& build, KeyL key_left,
                          Joiner joiner, const char* label = "Join",
-                         bool left_prepartitioned = false,
-                         Dataset<T>* probe_side = nullptr) const {
+                         bool left_prepartitioned = false) const {
     static_assert(
         std::is_same_v<K, std::decay_t<std::invoke_result_t<KeyL, const T&>>>,
         "join key types must match");
     const int p = num_partitions();
-    assert(p == static_cast<int>(build.tables_.size()));
-    std::shared_ptr<Partitions> left_parts = partitions_;
-    if (build.exchange_.broadcast) {
-      // Broadcast: the probe side stays in place.
-    } else if (left_prepartitioned) {
+    assert(p == static_cast<int>(build.state_records_.size()));
+    // Repartitioned, the probe side arrives as routed entries carrying
+    // their key and hash; in place (adopted, or against a broadcast build
+    // side), each record is keyed where it sits.
+    const bool routed = !build.exchange_.broadcast && !left_prepartitioned;
+    std::vector<std::vector<RoutedRecord<T, K>>> left;
+    if (routed) {
+      left = ShuffleByKey(key_left, label);
+    } else if (!build.exchange_.broadcast) {
       AuditPrepartitioned(key_left, *partitions_, label);
       NoteElidedShuffle(*partitions_, label);
-    } else {
-      left_parts = std::make_shared<Partitions>();
-      ShuffleInto(key_left, *partitions_, left_parts.get(), label);
     }
     if (build.prepartitioned_) {
-      NoteElidedShuffle(*build.parts_, label);
+      NoteElidedShuffle(*build.input_, label);
     } else {
       ChargeExchange(build.exchange_, label, SpanBegin());
     }
 
     // Memory accounting (driver thread; see memory_accountant.h): the
-    // staged join-side copies exist from here until this call returns.
+    // staged join-side inputs exist from here until this call returns.
     // Charges model the stage's state in the same currency as the static
     // analysis — serialized record bytes plus a fixed per-table-entry
-    // overhead — rather than tracing host allocations.
+    // overhead — rather than tracing host allocations. An exchange
+    // routes the same records, so its input's bytes are its output's.
     MemoryAccountant& accountant = ctx_->accountant();
     uint64_t staged_bytes = 0;
     if (accountant.enabled()) {
-      staged_bytes = TotalBytes(*left_parts) + build.bytes_;
+      staged_bytes = TotalBytes(*partitions_) + build.bytes_;
       accountant.Charge(staged_bytes);
     }
 
     auto out = std::make_shared<typename Dataset<Out>::Partitions>(p);
     std::vector<uint64_t> work(p, 0);
     std::vector<uint64_t> out_counts(p, 0);
-    std::vector<uint64_t> state_records(p, 0);
     const std::string build_probe_label = std::string(label) + "/BuildProbe";
     common::CancellationToken& cancel = ctx_->cancellation();
     const std::hash<K> hasher;
     RunPerPartition(build_probe_label.c_str(), [&](int part) {
-      const auto& lsrc = (*left_parts)[part];
-      const auto& table = build.tables_[part];
+      const auto& table = build.TableOf(part);
       auto& dst = (*out)[part];
-      for (const T& lrec : lsrc) {
-        if (cancel.CheckCancelled()) break;
-        const K k = key_left(lrec);
-        table.ForEachMatch(k, hasher(k),
+      const auto probe = [&](const T& lrec, const K& k, size_t hash) {
+        table.ForEachMatch(k, hash,
                            [&](const U* r) { joiner(lrec, *r, &dst); });
+      };
+      uint64_t probed = 0;
+      if (routed) {
+        for (const RoutedRecord<T, K>& l : left[part]) {
+          if (cancel.CheckCancelled()) break;
+          probe(*l.ref, l.key, l.hash);
+        }
+        probed = left[part].size();
+      } else {
+        const auto& lsrc = (*partitions_)[part];
+        for (const T& lrec : lsrc) {
+          if (cancel.CheckCancelled()) break;
+          const K k = key_left(lrec);
+          probe(lrec, k, hasher(k));
+        }
+        probed = lsrc.size();
       }
-      state_records[part] = (*build.parts_)[part].size();
-      work[part] = lsrc.size() + state_records[part];
+      work[part] = probed + build.state_records_[part];
       out_counts[part] = dst.size();
     });
     ChargeBuildProbe(build_probe_label, work, out_counts, build.state_bytes_,
-                     state_records, staged_bytes);
-    if (probe_side != nullptr) {
-      *probe_side = Dataset<T>(ctx_, std::move(left_parts));
-    }
+                     build.state_records_, staged_bytes);
     return Dataset<Out>(ctx_, std::move(out));
   }
 
@@ -526,7 +623,8 @@ class Dataset {
   // appends (target, fragment) pairs. The columnar batch engine scatters
   // through this — the fragments are sub-batches holding only the
   // selected rows routed to each worker, so a filtered batch never
-  // serializes its dead rows into the exchange. Priced like ShuffleInto:
+  // serializes its dead rows into the exchange. Unlike a keyed shuffle it
+  // delivers the fragments themselves, which are new. Priced like one:
   // every fragment enters the exchange, only fragments landing on a
   // different worker are billed as network traffic.
   template <typename Splitter>
@@ -535,8 +633,8 @@ class Dataset {
     const double span_begin_us = SpanBegin();
     auto out = std::make_shared<Partitions>();
     std::vector<std::pair<int, T>> frags;
-    const ExchangeTally tally = Route(
-        *partitions_, out.get(), [&](const T& rec, int source, auto deliver) {
+    const ExchangeTally tally =
+        Route(out.get(), [&](const T& rec, int source, auto deliver) {
           frags.clear();
           splitter(rec, source, &frags);
           for (auto& [target, frag] : frags) deliver(target, std::move(frag));
@@ -550,9 +648,13 @@ class Dataset {
   // join kernels broadcast whole column batches through this.
   Dataset<T> Replicate(const char* label = "Replicate") const {
     const double span_begin_us = SpanBegin();
-    auto out = std::make_shared<Partitions>();
-    ChargeExchange(ReplicateInto(*partitions_, out.get()), label,
-                   span_begin_us);
+    std::vector<T> all;
+    // cancellation: O(partitions) splice; batches copy by reference count.
+    for (const auto& part : *partitions_) {
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    auto out = std::make_shared<Partitions>(num_partitions(), all);
+    ChargeExchange(BroadcastTally(), label, span_begin_us);
     return Dataset<T>(ctx_, std::move(out));
   }
 
@@ -606,14 +708,14 @@ class Dataset {
     return n;
   }
 
-  // Charges the serialized bytes of a shuffled intermediate to the memory
-  // accountant and returns them so the caller can Release on completion.
-  // Returns 0 (and reads nothing) when accounting is off.
-  template <typename U>
-  uint64_t ChargeTransient(const Dataset<U>& staged) const {
+  // Charges the serialized bytes of this dataset's records, staged by an
+  // exchange, to the memory accountant and returns them so the caller can
+  // Release on completion. Returns 0 (and reads nothing) when accounting
+  // is off.
+  uint64_t ChargeStaged() const {
     MemoryAccountant& accountant = ctx_->accountant();
     if (!accountant.enabled()) return 0;
-    const uint64_t bytes = TotalBytes(*staged.partitions_);
+    const uint64_t bytes = TotalBytes(*partitions_);
     accountant.Charge(bytes);
     return bytes;
   }
@@ -747,18 +849,29 @@ class Dataset {
     }
   }
 
-  // Moves every record of `src` into `dst` through `route(record, source,
-  // deliver)`, which calls deliver(target, fragment) once per fragment it
-  // sends. Charges nothing; the returned tally is what ChargeExchange
+  // The bytes a fragment puts on the wire: its own serialized size, or
+  // for a record routed by reference the size of the record it points to.
+  template <typename Frag>
+  static size_t WireBytes(const Frag& frag) {
+    return RecordBytes(frag);
+  }
+  template <typename K, typename Rec>
+  static size_t WireBytes(const BuildEntry<K, const Rec*>& routed) {
+    return RecordBytes(*routed.ref);
+  }
+
+  // Delivers every record of this dataset to `dst` through `route(record,
+  // source, deliver)`, which calls deliver(target, fragment) once per
+  // fragment it sends. Charges nothing; the returned tally is what ChargeExchange
   // prices. Only the cost model distinguishes local from remote delivery:
   // the shuffle.bytes counter (Flink's numBytesOut) covers every fragment
   // entering the exchange, local channels included — the volume an
   // elided shuffle avoids serializing — so untraced local fragments skip
   // the size computation entirely.
-  template <typename Rec, typename Frag, typename RouteFn>
-  ExchangeTally Route(const std::vector<std::vector<Rec>>& src,
-                      std::vector<std::vector<Frag>>* dst,
+  template <typename Frag, typename RouteFn>
+  ExchangeTally Route(std::vector<std::vector<Frag>>* dst,
                       RouteFn route) const {
+    const Partitions& src = *partitions_;
     const int p = num_partitions();
     const bool traced = ctx_->telemetry().enabled();
     dst->assign(p, {});
@@ -767,12 +880,12 @@ class Dataset {
     for (int i = 0; i < p; ++i) {
       tally.in_counts[i] = src[i].size();
       tally.records += src[i].size();
-      for (const Rec& rec : src[i]) {
+      for (const T& rec : src[i]) {
         if (cancel.CheckCancelled()) break;
         route(rec, i, [&](int target, auto&& frag) {
           assert(target >= 0 && target < p);
           tally.Add(i, target,
-                    (traced || target != i) ? RecordBytes(frag) : 0);
+                    (traced || target != i) ? WireBytes(frag) : 0);
           (*dst)[target].push_back(std::forward<decltype(frag)>(frag));
         });
       }
@@ -780,39 +893,70 @@ class Dataset {
     return tally;
   }
 
-  // Routes `src` to hash(key(record)) % p (see Route).
-  template <typename KeyFn, typename Rec>
-  ExchangeTally RouteByKey(KeyFn key, const std::vector<std::vector<Rec>>& src,
-                           std::vector<std::vector<Rec>>* dst) const {
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
+  // Routes every record of this dataset by reference to hash(key(record))
+  // % p (see Route): dst[t] receives, in source order, the routed entry of
+  // every record placed on worker t.
+  template <typename KeyFn, typename K = std::decay_t<
+                                std::invoke_result_t<KeyFn, const T&>>>
+  ExchangeTally RouteByKey(
+      KeyFn key, std::vector<std::vector<RoutedRecord<T, K>>>* dst) const {
     const std::hash<K> hasher;
     const size_t p = static_cast<size_t>(num_partitions());
-    return Route(src, dst, [&](const Rec& rec, int, auto deliver) {
-      deliver(static_cast<int>(hasher(key(rec)) % p), rec);
+    return Route(dst, [&](const T& rec, int, auto deliver) {
+      K k = key(rec);
+      const size_t hash = hasher(k);
+      deliver(static_cast<int>(hash % p),
+              RoutedRecord<T, K>{hash, std::move(k), &rec});
     });
   }
 
-  // Copies every record of `src` to every worker. Worker w sends its
+  // Hash-shuffles this dataset by key (RouteByKey) and charges the
+  // exchange; returns the routed entries per target worker.
+  template <typename KeyFn, typename K = std::decay_t<
+                                std::invoke_result_t<KeyFn, const T&>>>
+  std::vector<std::vector<RoutedRecord<T, K>>> ShuffleByKey(
+      KeyFn key, const char* label) const {
+    const double span_begin_us = SpanBegin();
+    std::vector<std::vector<RoutedRecord<T, K>>> routed;
+    ChargeExchange(RouteByKey(key, &routed), label, span_begin_us);
+    return routed;
+  }
+
+  // The entry of every record of partition `part` where it sits: the
+  // build input of a broadcast or an adopted layout, which no exchange
+  // routes. Runs inside a partition task.
+  template <typename KeyFn, typename K = std::decay_t<
+                                std::invoke_result_t<KeyFn, const T&>>>
+  std::vector<RoutedRecord<T, K>> LocalRefs(KeyFn key, int part) const {
+    const auto& src = (*partitions_)[part];
+    std::vector<RoutedRecord<T, K>> out;
+    out.reserve(src.size());
+    common::CancellationToken& cancel = ctx_->cancellation();
+    const std::hash<K> hasher;
+    for (const T& rec : src) {
+      if (cancel.CheckCancelled()) break;
+      K k = key(rec);
+      const size_t hash = hasher(k);
+      out.push_back({hash, std::move(k), &rec});
+    }
+    return out;
+  }
+
+  // Prices sending every record to every worker. Worker w sends its
   // partition to the (p-1) others and receives everyone else's; the
   // exchange is pure network time (no per-record compute is charged) and
   // every byte entering it is remote.
-  template <typename Rec>
-  ExchangeTally ReplicateInto(const std::vector<std::vector<Rec>>& src,
-                              std::vector<std::vector<Rec>>* dst) const {
+  ExchangeTally BroadcastTally() const {
+    const Partitions& src = *partitions_;
     const int p = num_partitions();
-    std::vector<Rec> all;
-    for (int i = 0; i < p; ++i) {
-      all.insert(all.end(), src[i].begin(), src[i].end());
-    }
-    dst->assign(p, all);
     ExchangeTally tally(p);
     tally.broadcast = true;
-    tally.records = all.size();
     std::vector<uint64_t> own(p, 0);
     uint64_t total_bytes = 0;
     for (int i = 0; i < p; ++i) {
+      tally.records += src[i].size();
       // cancellation: cost-model byte walk; the consuming kernel polls.
-      for (const Rec& rec : src[i]) own[i] += RecordBytes(rec);
+      for (const T& rec : src[i]) own[i] += RecordBytes(rec);
       tally.out_bytes[i] = own[i] * (p - 1);
       total_bytes += own[i];
     }
@@ -822,16 +966,6 @@ class Dataset {
     }
     tally.exchanged = tally.moved;
     return tally;
-  }
-
-  // Hash-shuffles `src` partitions into `dst` partitions by key and
-  // charges the exchange.
-  template <typename KeyFn, typename Rec>
-  void ShuffleInto(KeyFn key, const std::vector<std::vector<Rec>>& src,
-                   std::vector<std::vector<Rec>>* dst,
-                   const char* label) const {
-    const double span_begin_us = SpanBegin();
-    ChargeExchange(RouteByKey(key, src, dst), label, span_begin_us);
   }
 
   // Charges one exchange's stage (compute = slowest source worker's

@@ -16,19 +16,25 @@ namespace gradoop::dataflow {
 // it (count per bucket, prefix sum, scatter in build order), so nothing
 // is allocated per entry and equal keys come back in build order.
 //
-// Each entry keeps its key's full hash, which the caller computed once
-// (for a routed join, the same hash that placed the record), and probes
-// compare it before the key. The bucket is taken from a remix of that
-// hash: within one partition, hash % p is the partition index, so the
-// hash's low bits are fixed and could not spread the buckets.
+// Each entry keeps its key's full hash, computed once. A routed join
+// side never hashes a key twice: its exchange routes entries, not
+// records (Dataset::RouteByKey), so the hash that placed a record is the
+// one its table entry keeps and the one its probe passes to
+// ForEachMatch. Probes compare the hash before the key. The bucket is
+// taken from a remix of that hash: within one partition, hash % p is the
+// partition index, so the hash's low bits are fixed and could not spread
+// the buckets.
+template <typename K, typename Ref>
+struct BuildEntry {
+  size_t hash = 0;
+  K key{};
+  Ref ref{};
+};
+
 template <typename K, typename Ref>
 class FlatBuildTable {
  public:
-  struct Entry {
-    size_t hash = 0;
-    K key{};
-    Ref ref{};
-  };
+  using Entry = BuildEntry<K, Ref>;
 
   FlatBuildTable() = default;
 
@@ -65,6 +71,8 @@ class FlatBuildTable {
     for (size_t b = buckets - 1; b > 0; --b) starts_[b] = starts_[b - 1];
     starts_[0] = 0;
   }
+
+  size_t size() const { return entries_.size(); }
 
   // Calls fn(ref) for every entry whose key equals `key`, in build order;
   // `hash` must be the key's hash as staged.

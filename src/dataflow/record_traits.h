@@ -33,6 +33,8 @@ size_t RecordBytes(const T& v) {
   } else if constexpr (std::is_same_v<T, std::string>) {
     return sizeof(uint32_t) + v.size();
   } else {
+    static_assert(!std::is_pointer_v<T>,
+                  "a pointer's wire size is its record's: size the record");
     static_assert(std::is_trivially_copyable_v<T>,
                   "non-trivial record types must provide SerializedSize()");
     return sizeof(T);

@@ -22,24 +22,29 @@ namespace {
 
 using BatchDataset = dfl::Dataset<EmbeddingBatch>;
 
-// Resolver over a raw element during leaf scans: only the scanned
-// variable's properties are in scope (the row kernels' ElementResolver).
-cypher::ValueResolver ElementResolver(std::string variable,
-                                      const epgm::Properties& properties) {
-  return [variable = std::move(variable), &properties](
-             const std::string& var,
-             const std::string& key) -> epgm::PropertyValue {
-    if (var != variable) return epgm::PropertyValue::Null();
-    return properties.Get(key);
-  };
-}
-
 bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
                      const cypher::ValueResolver& resolver) {
   for (const cypher::CnfClause& clause : clauses) {
     if (!cypher::EvaluateClause(clause, resolver)) return false;
   }
   return true;
+}
+
+// Whether a raw element passes a leaf scan's element predicates (the row
+// kernels' PassesElementPredicates): only the scanned variable's
+// properties are in scope, and an unfiltered scan builds no resolver.
+bool PassesElementPredicates(const std::vector<cypher::CnfClause>& predicates,
+                             const std::string& variable,
+                             const epgm::Properties& properties) {
+  if (predicates.empty()) return true;
+  return EvaluateClauses(
+      predicates,
+      [&variable, &properties](
+          const std::string& var,
+          const std::string& key) -> epgm::PropertyValue {
+        if (var != variable) return epgm::PropertyValue::Null();
+        return properties.Get(key);
+      });
 }
 
 // Clause evaluation against one batch row — the columnar counterpart of
@@ -473,46 +478,51 @@ EmbeddingSet BatchesToRows(const BatchSet& batches) {
   return {std::move(data), batches.meta};
 }
 
-BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
-                           const cypher::QueryVertex& query_vertex,
-                           const std::vector<cypher::CnfClause>& predicates,
-                           const EmbeddingMetaData& meta,
-                           const std::vector<cypher::CnfClause>& residual,
-                           int batch_size) {
-  assert(batch_size > 0);
+BatchSet ScanVerticesBatch(
+    const std::vector<dataflow::Dataset<epgm::Vertex>>& vertices,
+    const cypher::QueryVertex& query_vertex,
+    const std::vector<cypher::CnfClause>& predicates,
+    const EmbeddingMetaData& meta,
+    const std::vector<cypher::CnfClause>& residual, int batch_size) {
+  assert(batch_size > 0 && !vertices.empty());
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_vertex.variable);
   std::vector<uint8_t> flags = FlagsOf(meta);
   const int props = meta.property_column_count();
-  common::CancellationToken& cancel = vertices.context()->cancellation();
-  auto data = vertices.MapPartition<EmbeddingBatch>(
-      [query_vertex, predicates, projected, meta, residual,
-       flags = std::move(flags), props, batch_size, &cancel](
-          int /*partition*/, const std::vector<epgm::Vertex>& src,
+  const dfl::ExecutionContextPtr& ctx = vertices.front().context();
+  common::CancellationToken& cancel = ctx->cancellation();
+  auto data = dfl::Dataset<epgm::Vertex>::MapPartitions<EmbeddingBatch>(
+      ctx, vertices,
+      [&](int /*partition*/,
+          const std::vector<const std::vector<epgm::Vertex>*>& pieces,
           std::vector<EmbeddingBatch>* out) {
         EmbeddingBatch builder(flags, props);
-        for (const epgm::Vertex& v : src) {
-          if (cancel.CheckCancelled()) break;
-          if (!query_vertex.MatchesLabel(v.label)) continue;
-          const auto resolver =
-              ElementResolver(query_vertex.variable, v.properties);
-          if (!EvaluateClauses(predicates, resolver)) continue;
-          // Speculative append: push the row's cells, evaluate the fused
-          // residual on the pending row, roll back on failure.
-          const EmbeddingBatch::RowMark mark = builder.Mark();
-          builder.PushId(0, v.id);
-          for (const std::string& key : projected) {
-            builder.PushProperty(v.properties.Get(key));
-          }
-          if (!RowPassesClauses(residual, meta, builder,
-                                builder.num_rows())) {
-            builder.Rollback(mark);
-            continue;
-          }
-          builder.CommitRow();
-          if (static_cast<int>(builder.num_rows()) >= batch_size) {
-            out->push_back(std::move(builder));
-            builder = EmbeddingBatch(flags, props);
+        for (const std::vector<epgm::Vertex>* piece : pieces) {
+          if (cancel.cancelled()) break;
+          for (const epgm::Vertex& v : *piece) {
+            if (cancel.CheckCancelled()) break;
+            if (!query_vertex.MatchesLabel(v.label)) continue;
+            if (!PassesElementPredicates(predicates, query_vertex.variable,
+                                         v.properties)) {
+              continue;
+            }
+            // Speculative append: push the row's cells, evaluate the
+            // fused residual on the pending row, roll back on failure.
+            const EmbeddingBatch::RowMark mark = builder.Mark();
+            builder.PushId(0, v.id);
+            for (const std::string& key : projected) {
+              builder.PushProperty(v.properties.Get(key));
+            }
+            if (!RowPassesClauses(residual, meta, builder,
+                                  builder.num_rows())) {
+              builder.Rollback(mark);
+              continue;
+            }
+            builder.CommitRow();
+            if (static_cast<int>(builder.num_rows()) >= batch_size) {
+              out->push_back(std::move(builder));
+              builder = EmbeddingBatch(flags, props);
+            }
           }
         }
         if (builder.num_rows() > 0) out->push_back(std::move(builder));
@@ -521,15 +531,15 @@ BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
   return {std::move(data), meta};
 }
 
-BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
-                        const cypher::QueryEdge& query_edge,
-                        const std::vector<cypher::CnfClause>& predicates,
-                        const MorphismSetting& semantics, bool self_loop,
-                        const EmbeddingMetaData& meta,
-                        const std::vector<cypher::CnfClause>& residual,
-                        int batch_size) {
+BatchSet ScanEdgesBatch(
+    const std::vector<dataflow::Dataset<epgm::Edge>>& edges,
+    const cypher::QueryEdge& query_edge,
+    const std::vector<cypher::CnfClause>& predicates,
+    const MorphismSetting& semantics, bool self_loop,
+    const EmbeddingMetaData& meta,
+    const std::vector<cypher::CnfClause>& residual, int batch_size) {
   assert(!query_edge.IsVariableLength());
-  assert(batch_size > 0);
+  assert(batch_size > 0 && !edges.empty());
   const bool drop_data_self_loops =
       !self_loop && semantics.vertex == MatchSemantics::kIsomorphism;
   const std::vector<std::string> projected =
@@ -537,13 +547,13 @@ BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
   const bool any_direction = query_edge.any_direction;
   std::vector<uint8_t> flags = FlagsOf(meta);
   const int props = meta.property_column_count();
-  common::CancellationToken& cancel = edges.context()->cancellation();
-  auto data = edges.MapPartition<EmbeddingBatch>(
-      [query_edge, predicates, projected, self_loop, any_direction,
-       drop_data_self_loops, meta, residual, flags = std::move(flags), props,
-       batch_size,
-       &cancel](int /*partition*/, const std::vector<epgm::Edge>& src,
-                std::vector<EmbeddingBatch>* out) {
+  const dfl::ExecutionContextPtr& ctx = edges.front().context();
+  common::CancellationToken& cancel = ctx->cancellation();
+  auto data = dfl::Dataset<epgm::Edge>::MapPartitions<EmbeddingBatch>(
+      ctx, edges,
+      [&](int /*partition*/,
+          const std::vector<const std::vector<epgm::Edge>*>& pieces,
+          std::vector<EmbeddingBatch>* out) {
         EmbeddingBatch builder(flags, props);
         auto emit = [&](const epgm::Edge& edge, uint64_t source,
                         uint64_t target) {
@@ -566,21 +576,25 @@ BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
             builder = EmbeddingBatch(flags, props);
           }
         };
-        for (const epgm::Edge& edge : src) {
-          if (cancel.CheckCancelled()) break;
-          if (!query_edge.MatchesType(edge.label)) continue;
-          if (self_loop && edge.source_id != edge.target_id) continue;
-          if (drop_data_self_loops && edge.source_id == edge.target_id) {
-            continue;
-          }
-          const auto resolver =
-              ElementResolver(query_edge.variable, edge.properties);
-          if (!EvaluateClauses(predicates, resolver)) continue;
-          emit(edge, edge.source_id, edge.target_id);
-          // Undirected pattern: the edge also matches flipped (unless it
-          // is a data self-loop, which would duplicate).
-          if (any_direction && edge.source_id != edge.target_id) {
-            emit(edge, edge.target_id, edge.source_id);
+        for (const std::vector<epgm::Edge>* piece : pieces) {
+          if (cancel.cancelled()) break;
+          for (const epgm::Edge& edge : *piece) {
+            if (cancel.CheckCancelled()) break;
+            if (!query_edge.MatchesType(edge.label)) continue;
+            if (self_loop && edge.source_id != edge.target_id) continue;
+            if (drop_data_self_loops && edge.source_id == edge.target_id) {
+              continue;
+            }
+            if (!PassesElementPredicates(predicates, query_edge.variable,
+                                         edge.properties)) {
+              continue;
+            }
+            emit(edge, edge.source_id, edge.target_id);
+            // Undirected pattern: the edge also matches flipped (unless
+            // it is a data self-loop, which would duplicate).
+            if (any_direction && edge.source_id != edge.target_id) {
+              emit(edge, edge.target_id, edge.source_id);
+            }
           }
         }
         if (builder.num_rows() > 0) out->push_back(std::move(builder));

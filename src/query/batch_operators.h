@@ -40,21 +40,24 @@ EmbeddingSet BatchesToRows(const BatchSet& batches);
 // only in processing whole column batches per dataflow record.
 
 // Scan kernels: materialize batches of up to `batch_size` rows directly
-// from each element partition (no per-row Embedding is ever built).
-BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
-                           const cypher::QueryVertex& query_vertex,
-                           const std::vector<cypher::CnfClause>& predicates,
-                           const EmbeddingMetaData& meta,
-                           const std::vector<cypher::CnfClause>& residual,
-                           int batch_size);
+// from each element partition (no per-row Embedding is ever built). Like
+// the row scans they read the concatenation of their input datasets in
+// place, one builder per partition across all of them, so batches break
+// where they would over the Union of those datasets.
+BatchSet ScanVerticesBatch(
+    const std::vector<dataflow::Dataset<epgm::Vertex>>& vertices,
+    const cypher::QueryVertex& query_vertex,
+    const std::vector<cypher::CnfClause>& predicates,
+    const EmbeddingMetaData& meta,
+    const std::vector<cypher::CnfClause>& residual, int batch_size);
 
-BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
-                        const cypher::QueryEdge& query_edge,
-                        const std::vector<cypher::CnfClause>& predicates,
-                        const MorphismSetting& semantics, bool self_loop,
-                        const EmbeddingMetaData& meta,
-                        const std::vector<cypher::CnfClause>& residual,
-                        int batch_size);
+BatchSet ScanEdgesBatch(
+    const std::vector<dataflow::Dataset<epgm::Edge>>& edges,
+    const cypher::QueryEdge& query_edge,
+    const std::vector<cypher::CnfClause>& predicates,
+    const MorphismSetting& semantics, bool self_loop,
+    const EmbeddingMetaData& meta,
+    const std::vector<cypher::CnfClause>& residual, int batch_size);
 
 // Filter as a tight select-loop: evaluates the clauses over each batch's
 // active rows and writes a selection vector — no rows move or copy.

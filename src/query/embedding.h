@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -49,8 +50,15 @@ class Embedding {
   Embedding(const Embedding&) = default;
   Embedding& operator=(const Embedding&) = default;
   // A moved-from embedding is empty (its offsets must not outlive the
-  // buffer they delimit).
-  Embedding(Embedding&& other) noexcept { *this = std::move(other); }
+  // buffer they delimit). The constructor moves the buffer in place, so a
+  // growing vector of embeddings relocates them without reassigning.
+  Embedding(Embedding&& other) noexcept
+      : data_(std::move(other.data_)),
+        path_offset_(std::exchange(other.path_offset_, 0)),
+        prop_offset_(std::exchange(other.prop_offset_, 0)),
+        num_properties_(std::exchange(other.num_properties_, 0)) {
+    other.data_.clear();
+  }
   Embedding& operator=(Embedding&& other) noexcept {
     data_ = std::move(other.data_);
     path_offset_ = other.path_offset_;

@@ -47,26 +47,44 @@ std::string ElisionSuffix(bool left, bool right, const std::string& keys) {
 }
 
 // Selects the scan input for a label alternation from the indexed graph:
-// single-label predicates load exactly one per-label dataset (§3.4).
-dfl::Dataset<epgm::Vertex> VertexScanInput(
+// single-label predicates load exactly one per-label dataset (§3.4), an
+// alternation its labels' datasets in order, an unlabeled element every
+// label's. The scans read them in place; never empty, so a scan always
+// has a context.
+template <typename T, typename ByLabel>
+std::vector<dfl::Dataset<T>> ScanInputs(
     const epgm::IndexedLogicalGraph& graph,
-    const std::vector<std::string>& labels) {
-  if (labels.empty()) return graph.AllVertices();
-  dfl::Dataset<epgm::Vertex> out = graph.VerticesByLabel(labels.front());
-  for (size_t i = 1; i < labels.size(); ++i) {
-    out = out.Union(graph.VerticesByLabel(labels[i]));
+    const std::vector<std::string>& labels,
+    const std::vector<std::string>& all_labels, ByLabel by_label) {
+  std::vector<dfl::Dataset<T>> out;
+  for (const std::string& label : labels.empty() ? all_labels : labels) {
+    out.push_back((graph.*by_label)(label));
   }
+  if (out.empty()) out.push_back(dfl::Dataset<T>::Empty(graph.context()));
   return out;
 }
 
-dfl::Dataset<epgm::Edge> EdgeScanInput(const epgm::IndexedLogicalGraph& graph,
-                                       const std::vector<std::string>& types) {
-  if (types.empty()) return graph.AllEdges();
-  dfl::Dataset<epgm::Edge> out = graph.EdgesByLabel(types.front());
-  for (size_t i = 1; i < types.size(); ++i) {
-    out = out.Union(graph.EdgesByLabel(types[i]));
-  }
-  return out;
+std::vector<dfl::Dataset<epgm::Vertex>> VertexScanInputs(
+    const epgm::IndexedLogicalGraph& graph,
+    const std::vector<std::string>& labels) {
+  return ScanInputs<epgm::Vertex>(graph, labels, graph.VertexLabels(),
+                                  &epgm::IndexedLogicalGraph::VerticesByLabel);
+}
+
+std::vector<dfl::Dataset<epgm::Edge>> EdgeScanInputs(
+    const epgm::IndexedLogicalGraph& graph,
+    const std::vector<std::string>& types) {
+  return ScanInputs<epgm::Edge>(graph, types, graph.EdgeLabels(),
+                                &epgm::IndexedLogicalGraph::EdgesByLabel);
+}
+
+// Expand's edge side is one dataset: a single type's index dataset as
+// is, the datasets of a type alternation concatenated.
+dfl::Dataset<epgm::Edge> ExpandEdgeInput(
+    const epgm::IndexedLogicalGraph& graph,
+    const std::vector<std::string>& types) {
+  return dfl::Dataset<epgm::Edge>::Concat(graph.context(),
+                                          EdgeScanInputs(graph, types));
 }
 
 // Per-output-record tally of the shared Execute driver: a record is one
@@ -299,14 +317,14 @@ Result<EmbeddingSet> VertexScanOp::Run(const ExecEnv& env,
                                        std::vector<EmbeddingSet> inputs) {
   (void)inputs;
   return SelectAndProjectVertices(
-      VertexScanInput(*env.graph, query_vertex_.labels), query_vertex_,
+      VertexScanInputs(*env.graph, query_vertex_.labels), query_vertex_,
       predicates_, output_meta_, fused_clauses_);
 }
 
 Result<BatchSet> VertexScanOp::RunBatch(const ExecEnv& env,
                                         std::vector<BatchSet> inputs) {
   (void)inputs;
-  return ScanVerticesBatch(VertexScanInput(*env.graph, query_vertex_.labels),
+  return ScanVerticesBatch(VertexScanInputs(*env.graph, query_vertex_.labels),
                            query_vertex_, predicates_, output_meta_,
                            fused_clauses_, RuntimeBatchSize());
 }
@@ -339,7 +357,7 @@ Result<EmbeddingSet> EdgeScanOp::Run(const ExecEnv& env,
     }
   }
   EmbeddingSet scanned = SelectAndProjectEdges(
-      EdgeScanInput(*env.graph, query_edge_.types), query_edge_, predicates_,
+      EdgeScanInputs(*env.graph, query_edge_.types), query_edge_, predicates_,
       semantics_, self_loop_, output_meta_, fused_clauses_);
   if (env.scan_cache != nullptr && !signature_.empty()) {
     env.scan_cache->emplace(signature_, scanned.data);
@@ -359,7 +377,7 @@ Result<BatchSet> EdgeScanOp::RunBatch(const ExecEnv& env,
     }
   }
   BatchSet scanned = ScanEdgesBatch(
-      EdgeScanInput(*env.graph, query_edge_.types), query_edge_, predicates_,
+      EdgeScanInputs(*env.graph, query_edge_.types), query_edge_, predicates_,
       semantics_, self_loop_, output_meta_, fused_clauses_,
       RuntimeBatchSize());
   if (env.batch_scan_cache != nullptr && !signature_.empty()) {
@@ -450,7 +468,7 @@ std::string ExpandOp::Describe() const {
 Result<EmbeddingSet> ExpandOp::Run(const ExecEnv& env,
                                    std::vector<EmbeddingSet> inputs) {
   return ExpandEmbeddings(inputs[0],
-                          EdgeScanInput(*env.graph, query_edge_.types),
+                          ExpandEdgeInput(*env.graph, query_edge_.types),
                           start_column_, bound_end_column_, output_meta_,
                           query_edge_.lower_bound, query_edge_.upper_bound,
                           reverse_, semantics_, fused_clauses_);
@@ -459,7 +477,7 @@ Result<EmbeddingSet> ExpandOp::Run(const ExecEnv& env,
 Result<BatchSet> ExpandOp::RunBatch(const ExecEnv& env,
                                     std::vector<BatchSet> inputs) {
   return ExpandBatches(inputs[0],
-                       EdgeScanInput(*env.graph, query_edge_.types),
+                       ExpandEdgeInput(*env.graph, query_edge_.types),
                        start_column_, bound_end_column_, output_meta_,
                        query_edge_.lower_bound, query_edge_.upper_bound,
                        reverse_, semantics_, fused_clauses_,

@@ -107,7 +107,9 @@ std::string PlanCompiler::EdgeScanSignature(
   }
   for (const std::string& key : projection) sig += key + ",";
   for (const cypher::CnfClause& clause : fused) {
-    sig += "+" + clause.ToString() + ";";
+    sig += '+';
+    sig += clause.ToString();
+    sig += ';';
   }
   return sig;
 }

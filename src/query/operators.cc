@@ -12,20 +12,6 @@ namespace dfl = ::gradoop::dataflow;
 
 namespace {
 
-// Resolver over a raw element during leaf scans: only the scanned
-// variable's properties are in scope.
-cypher::ValueResolver ElementResolver(std::string variable,
-                                      const epgm::Properties& properties) {
-  // `properties` refers to the element being scanned and outlives the
-  // resolver's use within one FlatMap call; the variable name is copied.
-  return [variable = std::move(variable), &properties](
-             const std::string& var,
-             const std::string& key) -> epgm::PropertyValue {
-    if (var != variable) return epgm::PropertyValue::Null();
-    return properties.Get(key);
-  };
-}
-
 bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
                      const cypher::ValueResolver& resolver) {
   for (const cypher::CnfClause& clause : clauses) {
@@ -34,11 +20,53 @@ bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
   return true;
 }
 
+// Whether a raw element passes a leaf scan's element predicates; only
+// the scanned variable's properties are in scope. The resolver refers
+// to the variable and the element, which outlive it, and is not built at
+// all for an unfiltered scan.
+bool PassesElementPredicates(const std::vector<cypher::CnfClause>& predicates,
+                             const std::string& variable,
+                             const epgm::Properties& properties) {
+  if (predicates.empty()) return true;
+  return EvaluateClauses(
+      predicates,
+      [&variable, &properties](
+          const std::string& var,
+          const std::string& key) -> epgm::PropertyValue {
+        if (var != variable) return epgm::PropertyValue::Null();
+        return properties.Get(key);
+      });
+}
+
 // Residual clauses of a fused filter, evaluated on the produced embedding.
 bool PassesResidual(const std::vector<cypher::CnfClause>& residual,
                     const EmbeddingMetaData& meta, const Embedding& e) {
   if (residual.empty()) return true;
   return EvaluateClauses(residual, meta.MakeResolver(e));
+}
+
+// FlatMap over the partition-wise concatenation of `inputs` (see
+// Dataset::MapPartitions): fn(record, &out) for every record of every
+// input, partition by partition, in the order Union would lay them out.
+template <typename U, typename T, typename F>
+dfl::Dataset<U> FlatMapConcatenated(const std::vector<dfl::Dataset<T>>& inputs,
+                                    F fn, const char* label) {
+  assert(!inputs.empty());
+  const dfl::ExecutionContextPtr& ctx = inputs.front().context();
+  common::CancellationToken& cancel = ctx->cancellation();
+  return dfl::Dataset<T>::template MapPartitions<U>(
+      ctx, inputs,
+      [&](int /*partition*/, const std::vector<const std::vector<T>*>& pieces,
+          std::vector<U>* out) {
+        for (const std::vector<T>* piece : pieces) {
+          if (cancel.cancelled()) break;
+          for (const T& rec : *piece) {
+            if (cancel.CheckCancelled()) break;
+            fn(rec, out);
+          }
+        }
+      },
+      label);
 }
 
 // Projection keys for one scanned variable, read off the compiled meta.
@@ -56,20 +84,22 @@ std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,
 }  // namespace
 
 EmbeddingSet SelectAndProjectVertices(
-    const dataflow::Dataset<epgm::Vertex>& vertices,
+    const std::vector<dataflow::Dataset<epgm::Vertex>>& vertices,
     const cypher::QueryVertex& query_vertex,
     const std::vector<cypher::CnfClause>& predicates,
     const EmbeddingMetaData& meta,
     const std::vector<cypher::CnfClause>& residual) {
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_vertex.variable);
-  auto data = vertices.FlatMap<Embedding>(
+  auto data = FlatMapConcatenated<Embedding>(
+      vertices,
       [query_vertex, predicates, projected, meta, residual](
           const epgm::Vertex& v, std::vector<Embedding>* out) {
         if (!query_vertex.MatchesLabel(v.label)) return;
-        const auto resolver =
-            ElementResolver(query_vertex.variable, v.properties);
-        if (!EvaluateClauses(predicates, resolver)) return;
+        if (!PassesElementPredicates(predicates, query_vertex.variable,
+                                     v.properties)) {
+          return;
+        }
         Embedding e;
         e.AppendId(v.id);
         for (const std::string& key : projected) {
@@ -83,7 +113,7 @@ EmbeddingSet SelectAndProjectVertices(
 }
 
 EmbeddingSet SelectAndProjectEdges(
-    const dataflow::Dataset<epgm::Edge>& edges,
+    const std::vector<dataflow::Dataset<epgm::Edge>>& edges,
     const cypher::QueryEdge& query_edge,
     const std::vector<cypher::CnfClause>& predicates,
     const MorphismSetting& semantics, bool self_loop,
@@ -98,16 +128,18 @@ EmbeddingSet SelectAndProjectEdges(
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_edge.variable);
   const bool any_direction = query_edge.any_direction;
-  auto data = edges.FlatMap<Embedding>(
+  auto data = FlatMapConcatenated<Embedding>(
+      edges,
       [query_edge, predicates, projected, self_loop, any_direction,
        drop_data_self_loops, meta, residual](const epgm::Edge& edge,
                                              std::vector<Embedding>* out) {
         if (!query_edge.MatchesType(edge.label)) return;
         if (self_loop && edge.source_id != edge.target_id) return;
         if (drop_data_self_loops && edge.source_id == edge.target_id) return;
-        const auto resolver =
-            ElementResolver(query_edge.variable, edge.properties);
-        if (!EvaluateClauses(predicates, resolver)) return;
+        if (!PassesElementPredicates(predicates, query_edge.variable,
+                                     edge.properties)) {
+          return;
+        }
         auto emit = [&](uint64_t src, uint64_t dst) {
           Embedding e;
           e.AppendId(src);
@@ -345,8 +377,9 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
     return reverse ? e.target_id : e.source_id;
   };
   std::optional<dataflow::JoinBuildSide<epgm::Edge, uint64_t>> edge_table;
-  // The exchanged probe side of every hop: the parents the next hop's
-  // records link to.
+  // Every hop's frontier as it entered its probe: the exchange routes
+  // pointers to these records, so the next frontier's parent links point
+  // into them.
   std::vector<dataflow::Dataset<FrontierRecord>> probed;
 
   common::CancellationToken& cancel = input.data.context()->cancellation();
@@ -367,7 +400,7 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
 
     // 1-hop expansion: probe the edge table with the frontier on the
     // current end vertex, enforcing morphism constraints on the grown path.
-    probed.emplace_back();
+    probed.push_back(frontier);
     frontier = frontier.ProbeJoin<FrontierRecord>(
         *edge_table, [](const FrontierRecord& r) { return r.end; },
         [=](const FrontierRecord& s, const epgm::Edge& e,
@@ -411,18 +444,16 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
           next.hops = s.hops + 1;
           out->push_back(next);
         },
-        "ExpandStep", /*left_prepartitioned=*/false, &probed.back());
+        "ExpandStep");
 
     if (k >= lower_bound) {
       emitted.push_back(frontier.FlatMap<Embedding>(emit, "ExpandEmit"));
     }
   }
-  dataflow::Dataset<Embedding> results =
-      dataflow::Dataset<Embedding>::Empty(input.data.context());
-  // cancellation: folds at most upper_bound per-hop result handles;
-  // Union is a pure partition splice with no per-record work.
-  for (const auto& part : emitted) results = results.Union(part);
-  return {std::move(results), result_meta};
+  // One pass: each hop's emissions are moved, not copied, into place.
+  return {dataflow::Dataset<Embedding>::Concat(input.data.context(),
+                                               std::move(emitted)),
+          result_meta};
 }
 
 }  // namespace gradoop::query

@@ -31,9 +31,10 @@ struct EmbeddingSet {
 // alternation and its element-centric predicates, projects the properties
 // listed in `meta` and transforms each survivor into a one-column
 // embedding. Executed as a single FlatMap (Select -> Project -> Transform
-// fusion).
+// fusion) over the concatenation of `vertices` (at least one dataset;
+// the per-label index datasets of a label alternation), read in place.
 EmbeddingSet SelectAndProjectVertices(
-    const dataflow::Dataset<epgm::Vertex>& vertices,
+    const std::vector<dataflow::Dataset<epgm::Vertex>>& vertices,
     const cypher::QueryVertex& query_vertex,
     const std::vector<cypher::CnfClause>& predicates,
     const EmbeddingMetaData& meta,
@@ -45,7 +46,7 @@ EmbeddingSet SelectAndProjectVertices(
 // equals its target variable), only edges with source == target survive
 // and the embedding carries two columns.
 EmbeddingSet SelectAndProjectEdges(
-    const dataflow::Dataset<epgm::Edge>& edges,
+    const std::vector<dataflow::Dataset<epgm::Edge>>& edges,
     const cypher::QueryEdge& query_edge,
     const std::vector<cypher::CnfClause>& predicates,
     const MorphismSetting& semantics, bool self_loop,

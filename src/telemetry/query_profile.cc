@@ -10,7 +10,10 @@ namespace gradoop::telemetry {
 namespace {
 
 std::string Quoted(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(text);
+  out += '"';
+  return out;
 }
 
 std::string U64(uint64_t value) { return std::to_string(value); }

@@ -9,6 +9,7 @@
 #include <vector>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 
 #include "dataflow/dataset.h"
 #include "dataflow/flat_build_table.h"
@@ -415,6 +416,229 @@ TEST(DatasetTest, HashJoinFlatTableMatchesNestedLoopReference) {
       EXPECT_EQ(got.size(), right.empty() ? 0u : 3u * (5000 + 4 + 2 + 1 + 5));
       EXPECT_EQ(got, want);
     }
+  }
+}
+
+// A record that counts how often it is copied, with a tag-dependent wire
+// size so that byte tallies see which records moved where.
+struct CountedRecord {
+  // ordering: relaxed tally; read only after the pool tasks joined.
+  static inline std::atomic<uint64_t> copies{0};
+
+  int key = 0;
+  int tag = 0;
+
+  CountedRecord(int k, int t) : key(k), tag(t) {}
+  CountedRecord(const CountedRecord& o) : key(o.key), tag(o.tag) {
+    copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  CountedRecord& operator=(const CountedRecord& o) {
+    key = o.key;
+    tag = o.tag;
+    copies.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  CountedRecord(CountedRecord&&) = default;
+  CountedRecord& operator=(CountedRecord&&) = default;
+
+  size_t SerializedSize() const { return 8 + 4 * static_cast<size_t>(tag % 3); }
+};
+
+// What the cost model and the accountant charged for one run, with the
+// values the same run charged when every exchange copied its records.
+struct ModelCharge {
+  double seconds = 0.0;
+  uint64_t records = 0;
+  uint64_t network = 0;
+  uint64_t peak = 0;
+};
+
+// Exchanges route references: a join, a prepared build probed three
+// times, Distinct and ReduceByKey never copy an input record (Distinct
+// copies exactly its survivors into its output), produce what a nested
+// loop produces, and charge the model, the network and the accountant
+// exactly what record-copying exchanges charged.
+TEST(DatasetTest, ExchangesRouteRecordsWithoutCopyingThem) {
+  using Rec = CountedRecord;
+  using Pair = std::pair<int, int>;
+  const auto key = [](const Rec& r) { return static_cast<uint64_t>(r.key); };
+  const auto joiner = [](const Rec& l, const Rec& r, std::vector<Pair>* out) {
+    out->push_back({l.tag, r.tag});
+  };
+  // Skewed keys: key 0 is hot, keys 1..12 repeat, some probe keys miss.
+  const auto records = [](int n, int key_mod, int tag_base) {
+    std::vector<Rec> out;
+    out.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      out.emplace_back(i % 4 == 0 ? 0 : i % key_mod, tag_base + i);
+    }
+    return out;
+  };
+  const auto nested_loop = [](const std::vector<Rec>& left,
+                              const std::vector<Rec>& right) {
+    std::vector<Pair> out;
+    for (const Rec& l : left) {
+      for (const Rec& r : right) {
+        if (l.key == r.key) out.push_back({l.tag, r.tag});
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto collect = [](const auto& ds) {
+    using Out = std::decay_t<decltype(ds.partition(0).front())>;
+    std::vector<Out> out;
+    for (int p = 0; p < ds.num_partitions(); ++p) {
+      out.insert(out.end(), ds.partition(p).begin(), ds.partition(p).end());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto context = [] {
+    ClusterConfig cfg;
+    cfg.num_workers = 4;
+    auto ctx = MakeContext(cfg);
+    ctx->accountant().Enable();
+    return ctx;
+  };
+  // Resets the model and the copy count once the inputs are in place.
+  const auto start = [](ExecutionContext& ctx) {
+    ctx.tracker().Reset();
+    ctx.accountant().Reset();
+    Rec::copies = 0;
+  };
+  const auto charged = [](const ExecutionContext& ctx) {
+    return ModelCharge{ctx.tracker().SimulatedSeconds(),
+                       ctx.tracker().TotalRecords(),
+                       ctx.tracker().NetworkBytes(),
+                       ctx.accountant().peak_bytes()};
+  };
+  std::vector<std::pair<std::string, ModelCharge>> got;
+
+  struct JoinCase {
+    const char* name;
+    JoinStrategy strategy;
+    JoinShuffleHints hints;
+  };
+  for (const JoinCase& jc :
+       {JoinCase{"repartition", JoinStrategy::kRepartition, {}},
+        JoinCase{"broadcast", JoinStrategy::kBroadcast, {}},
+        JoinCase{"left adopted", JoinStrategy::kRepartition, {true, false}},
+        JoinCase{"right adopted", JoinStrategy::kRepartition, {false, true}},
+        JoinCase{"both adopted", JoinStrategy::kRepartition, {true, true}}}) {
+    auto ctx = context();
+    auto left = Dataset<Rec>::FromVector(ctx, records(300, 13, 0));
+    auto right = Dataset<Rec>::FromVector(ctx, records(120, 9, 1000));
+    // An adopted side must already sit at hash(key) % p.
+    if (jc.hints.left_prepartitioned) left = left.RepartitionByKey(key);
+    if (jc.hints.right_prepartitioned) right = right.RepartitionByKey(key);
+    start(*ctx);
+    const auto joined = left.HashJoin<Pair>(right, key, key, joiner,
+                                            jc.strategy, "Join", jc.hints);
+    EXPECT_EQ(Rec::copies.load(), 0u) << jc.name;
+    got.emplace_back(jc.name, charged(*ctx));
+    EXPECT_EQ(collect(joined),
+              nested_loop(records(300, 13, 0), records(120, 9, 1000)))
+        << jc.name;
+  }
+
+  for (const JoinStrategy strategy :
+       {JoinStrategy::kRepartition, JoinStrategy::kBroadcast}) {
+    const std::string name = strategy == JoinStrategy::kRepartition
+                                 ? "prepared repartition"
+                                 : "prepared broadcast";
+    auto ctx = context();
+    auto right = Dataset<Rec>::FromVector(ctx, records(120, 9, 1000));
+    std::vector<Dataset<Rec>> probes;
+    for (int i = 0; i < 3; ++i) {
+      probes.push_back(
+          Dataset<Rec>::FromVector(ctx, records(100 + 50 * i, 11 + i, 0)));
+    }
+    start(*ctx);
+    const auto build = right.PrepareBuild(key, strategy, "Join");
+    std::vector<Dataset<Pair>> joined;
+    for (const auto& probe : probes) {
+      joined.push_back(probe.ProbeJoin<Pair>(build, key, joiner));
+    }
+    EXPECT_EQ(Rec::copies.load(), 0u) << name;
+    got.emplace_back(name, charged(*ctx));
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(collect(joined[i]),
+                nested_loop(records(100 + 50 * i, 11 + i, 0),
+                            records(120, 9, 1000)))
+          << name << " probe " << i;
+    }
+  }
+
+  {
+    auto ctx = context();
+    auto input = Dataset<Rec>::FromVector(ctx, records(400, 17, 0));
+    start(*ctx);
+    const auto distinct = input.Distinct(key);
+    uint64_t survivors = 0;
+    for (int p = 0; p < distinct.num_partitions(); ++p) {
+      survivors += distinct.partition(p).size();
+    }
+    EXPECT_EQ(survivors, 17u);
+    EXPECT_EQ(Rec::copies.load(), survivors);
+    got.emplace_back("distinct", charged(*ctx));
+    // The first record of every key in input order survives.
+    std::vector<Pair> kept;
+    for (int p = 0; p < distinct.num_partitions(); ++p) {
+      for (const Rec& r : distinct.partition(p)) kept.push_back({r.key, r.tag});
+    }
+    std::sort(kept.begin(), kept.end());
+    std::vector<Pair> want;
+    for (int p = 0; p < input.num_partitions(); ++p) {
+      for (const Rec& r : input.partition(p)) {
+        const bool seen = std::any_of(want.begin(), want.end(),
+                                      [&](const Pair& w) {
+                                        return w.first == r.key;
+                                      });
+        if (!seen) want.push_back({r.key, r.tag});
+      }
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(kept, want);
+  }
+
+  {
+    auto ctx = context();
+    auto input = Dataset<Rec>::FromVector(ctx, records(400, 17, 0));
+    start(*ctx);
+    const auto sums = input.ReduceByKey(
+        key, [](const Rec& r) { return r.tag; },
+        [](int acc, const Rec& r) { return acc + r.tag; });
+    EXPECT_EQ(Rec::copies.load(), 0u);
+    got.emplace_back("reduce", charged(*ctx));
+    std::map<uint64_t, int> want;
+    for (const Rec& r : records(400, 17, 0)) want[key(r)] += r.tag;
+    std::map<uint64_t, int> have;
+    for (const auto& [k, sum] : collect(sums)) have[k] = sum;
+    EXPECT_EQ(have, want);
+  }
+
+  // Captured from the same runs when every exchange still copied.
+  const std::vector<std::pair<std::string, ModelCharge>> copying = {
+      {"repartition", {0.27669655999999998, 5941, 2844, 12720}},
+      {"broadcast", {0.1997932, 6001, 4320, 40080}},
+      {"left adopted", {0.25291343999999999, 5641, 792, 12720}},
+      {"right adopted", {0.25518311999999999, 5821, 2052, 12720}},
+      {"both adopted", {0.23139999999999999, 5521, 0, 12720}},
+      {"prepared repartition", {0.48757136000000001, 9159, 4356, 11516}},
+      {"prepared broadcast", {0.36977959999999999, 9789, 12960, 38876}},
+      {"distinct", {0.054692080000000004, 800, 2736, 4796}},
+      {"reduce", {0.054692080000000004, 800, 2736, 4796}},
+  };
+  ASSERT_EQ(got.size(), copying.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const auto& [name, c] = got[i];
+    const ModelCharge& want = copying[i].second;
+    EXPECT_EQ(name, copying[i].first);
+    EXPECT_DOUBLE_EQ(c.seconds, want.seconds) << name;
+    EXPECT_EQ(c.records, want.records) << name;
+    EXPECT_EQ(c.network, want.network) << name;
+    EXPECT_EQ(c.peak, want.peak) << name;
   }
 }
 

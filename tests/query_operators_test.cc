@@ -5,9 +5,13 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "cypher/parser.h"
 #include "cypher/query_graph.h"
+#include "epgm/indexed_logical_graph.h"
+#include "ldbc/ldbc_generator.h"
 #include "query/batch_operators.h"
 #include "query/naive_matcher.h"
 #include "query/operators.h"
@@ -65,7 +69,7 @@ EmbeddingSet ScanEdges(const dataflow::Dataset<Edge>& ds,
                            MorphismSetting::Neo4j()) {
   const std::string& src = qg.vertices()[qe.source].variable;
   const std::string& dst = qg.vertices()[qe.target].variable;
-  return SelectAndProjectEdges(ds, qe, predicates, semantics, src == dst,
+  return SelectAndProjectEdges({ds}, qe, predicates, semantics, src == dst,
                                EdgeScanMeta(qg, qe, projection));
 }
 
@@ -136,7 +140,7 @@ TEST(ScanVerticesTest, FiltersLabelAndPredicateAndProjects) {
   QueryGraph qg = QG("MATCH (p:Person) WHERE p.age > 25 RETURN p.name");
   const auto& qv = qg.vertices()[0];
   auto result = SelectAndProjectVertices(
-      ds, qv, qg.ElementPredicates("p"),
+      {ds}, qv, qg.ElementPredicates("p"),
       VertexScanMeta(qv, qg.NeededProperties("p")));
   auto rows = result.data.Collect();
   ASSERT_EQ(rows.size(), 1u);
@@ -154,7 +158,8 @@ TEST(ScanVerticesTest, LabelAlternation) {
   auto ds = dataflow::Dataset<Vertex>::FromVector(ctx, vertices);
   QueryGraph qg = QG("MATCH (m:Comment|Post) RETURN *");
   const auto& qv = qg.vertices()[0];
-  auto result = SelectAndProjectVertices(ds, qv, {}, VertexScanMeta(qv, {}));
+  auto result =
+      SelectAndProjectVertices({ds}, qv, {}, VertexScanMeta(qv, {}));
   EXPECT_EQ(SortedIds(result, "m"), (std::vector<uint64_t>{1, 2}));
 }
 
@@ -171,9 +176,170 @@ TEST(ScanVerticesTest, ResidualClausePrunesRows) {
   // Hand the predicate to the kernel as a residual instead of an element
   // predicate: same rows must survive.
   auto result =
-      SelectAndProjectVertices(ds, qv, {}, VertexScanMeta(qv, {"age"}),
+      SelectAndProjectVertices({ds}, qv, {}, VertexScanMeta(qv, {"age"}),
                                qg.ElementPredicates("p"));
   EXPECT_EQ(SortedIds(result, "p"), (std::vector<uint64_t>{1}));
+}
+
+// What one scan produced and charged: the encoded rows of every
+// partition in order (a batch's active rows in order), the batches per
+// partition (none under the row engine), and the model's stages,
+// records and seconds.
+struct ScanRun {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<size_t> batches;
+  std::vector<std::pair<std::string, double>> stages;
+  uint64_t records = 0;
+  double seconds = 0.0;
+};
+
+void AppendEncoded(const Embedding& e, std::vector<std::string>* rows) {
+  rows->emplace_back();
+  e.EncodeTo(&rows->back());
+}
+
+// Runs `scan` on a fresh tracker and captures what it produced.
+template <typename Scan>
+ScanRun RunScan(dataflow::ExecutionContext& ctx, Scan scan) {
+  ctx.tracker().Reset();
+  const auto set = scan();
+  ScanRun run;
+  for (const dataflow::StageCost& stage : ctx.tracker().Stages()) {
+    run.stages.emplace_back(stage.label, stage.TotalSeconds());
+  }
+  run.records = ctx.tracker().TotalRecords();
+  run.seconds = ctx.tracker().SimulatedSeconds();
+  for (int p = 0; p < set.data.num_partitions(); ++p) {
+    run.rows.emplace_back();
+    run.batches.push_back(0);
+    for (const auto& record : set.data.partition(p)) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(record)>,
+                                   EmbeddingBatch>) {
+        ++run.batches.back();
+        for (uint32_t i = 0; i < record.ActiveRows(); ++i) {
+          AppendEncoded(record.RowAt(record.ActiveRow(i)), &run.rows.back());
+        }
+      } else {
+        AppendEncoded(record, &run.rows.back());
+      }
+    }
+  }
+  return run;
+}
+
+void ExpectSameScan(const ScanRun& got, const ScanRun& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.batches, want.batches) << what;
+  EXPECT_EQ(got.stages, want.stages) << what;
+  EXPECT_EQ(got.records, want.records) << what;
+  EXPECT_EQ(got.seconds, want.seconds) << what;
+}
+
+// The per-label index datasets of `labels` (every label when empty) and
+// their Union, the single dataset scans read before they read the index
+// datasets in place.
+template <typename T>
+std::pair<std::vector<dataflow::Dataset<T>>, dataflow::Dataset<T>>
+PerLabelAndUnion(const epgm::IndexedLogicalGraph& graph,
+                 const std::vector<std::string>& labels, bool vertices) {
+  std::vector<dataflow::Dataset<T>> per_label;
+  const std::vector<std::string> all =
+      vertices ? graph.VertexLabels() : graph.EdgeLabels();
+  for (const std::string& label : labels.empty() ? all : labels) {
+    if constexpr (std::is_same_v<T, Vertex>) {
+      per_label.push_back(graph.VerticesByLabel(label));
+    } else {
+      per_label.push_back(graph.EdgesByLabel(label));
+    }
+  }
+  dataflow::Dataset<T> unioned = per_label.front();
+  for (size_t i = 1; i < per_label.size(); ++i) {
+    unioned = unioned.Union(per_label[i]);
+  }
+  return {per_label, unioned};
+}
+
+epgm::IndexedLogicalGraph SmallLdbcIndex() {
+  ldbc::LdbcConfig cfg;
+  cfg.scale_factor = 0.05;
+  return epgm::IndexedLogicalGraph::Build(
+      ldbc::LdbcGenerator(cfg).Generate(Ctx()));
+}
+
+// Scans of a label alternation and of an unlabeled vertex read the
+// per-label index datasets in place. On both engines they produce and
+// charge what scanning the datasets' Union did: the same rows in the
+// same order, the same batches (a batch spans a label boundary exactly
+// where it did over the Union), and the same stages, records and
+// simulated seconds.
+TEST(ScanVerticesTest, AlternationReadsIndexDatasetsLikeTheirUnion) {
+  const epgm::IndexedLogicalGraph graph = SmallLdbcIndex();
+  dataflow::ExecutionContext& ctx = *graph.context();
+  for (const std::string text :
+       {"MATCH (m:Comment|Post) WHERE m.creationDate > 20120101 "
+        "RETURN m.content",
+        "MATCH (v) RETURN v.creationDate"}) {
+    const QueryGraph qg = QG(text);
+    const auto& qv = qg.vertices()[0];
+    const auto predicates = qg.ElementPredicates(qv.variable);
+    const EmbeddingMetaData meta =
+        VertexScanMeta(qv, qg.NeededProperties(qv.variable));
+    const auto [per_label, unioned] =
+        PerLabelAndUnion<Vertex>(graph, qv.labels, /*vertices=*/true);
+    ASSERT_GE(per_label.size(), 2u) << text;
+    const ScanRun row = RunScan(ctx, [&] {
+      return SelectAndProjectVertices(per_label, qv, predicates, meta);
+    });
+    EXPECT_GT(row.records, 0u);
+    ExpectSameScan(row, RunScan(ctx, [&] {
+                     return SelectAndProjectVertices({unioned}, qv,
+                                                     predicates, meta);
+                   }),
+                   text + " (row)");
+    for (const int batch_size : {7, kDefaultBatchSize}) {
+      const ScanRun batch = RunScan(ctx, [&] {
+        return ScanVerticesBatch(per_label, qv, predicates, meta, {},
+                                 batch_size);
+      });
+      ExpectSameScan(batch, RunScan(ctx, [&] {
+                       return ScanVerticesBatch({unioned}, qv, predicates,
+                                                meta, {}, batch_size);
+                     }),
+                     text + " (batch " + std::to_string(batch_size) + ")");
+      EXPECT_EQ(batch.rows, row.rows) << text;
+    }
+  }
+}
+
+// The same for an edge type alternation.
+TEST(ScanEdgesTest, AlternationReadsIndexDatasetsLikeTheirUnion) {
+  const epgm::IndexedLogicalGraph graph = SmallLdbcIndex();
+  dataflow::ExecutionContext& ctx = *graph.context();
+  const QueryGraph qg = QG("MATCH (a)-[e:replyOf|hasCreator]->(b) RETURN *");
+  const auto& qe = qg.edges()[0];
+  const EmbeddingMetaData meta = EdgeScanMeta(qg, qe, {});
+  const auto [per_label, unioned] =
+      PerLabelAndUnion<Edge>(graph, qe.types, /*vertices=*/false);
+  const MorphismSetting semantics = MorphismSetting::Neo4j();
+  const ScanRun row = RunScan(ctx, [&] {
+    return SelectAndProjectEdges(per_label, qe, {}, semantics, false, meta);
+  });
+  EXPECT_GT(row.records, 0u);
+  ExpectSameScan(row, RunScan(ctx, [&] {
+                   return SelectAndProjectEdges({unioned}, qe, {}, semantics,
+                                                false, meta);
+                 }),
+                 "row");
+  const ScanRun batch = RunScan(ctx, [&] {
+    return ScanEdgesBatch(per_label, qe, {}, semantics, false, meta, {}, 7);
+  });
+  ExpectSameScan(batch, RunScan(ctx, [&] {
+                   return ScanEdgesBatch({unioned}, qe, {}, semantics, false,
+                                         meta, {}, 7);
+                 }),
+                 "batch");
+  EXPECT_EQ(batch.rows, row.rows);
 }
 
 TEST(ScanEdgesTest, EmitsSourceEdgeTargetColumns) {
@@ -522,7 +688,7 @@ TEST(JoinMorphismTest, PairCheckEqualsMergeThenCheckAndNaiveOracle) {
           dataflow::Dataset<Vertex>::FromVector(ctx, vertices);
       const EmbeddingSet left = ScanEdges(edges, qg, *e1, {}, {}, semantics);
       const EmbeddingSet starts = SelectAndProjectVertices(
-          vertex_ds, *b_vertex, {}, VertexScanMeta(*b_vertex, {}));
+          {vertex_ds}, *b_vertex, {}, VertexScanMeta(*b_vertex, {}));
       const EmbeddingSet right =
           Expand(starts, edges, "b", "p", "c", 1, 3, false, semantics);
       const EmbeddingSet joined = Join(left, right, {"b"}, semantics,
