@@ -270,6 +270,34 @@ class Dataset {
     return Dataset<U>(ctx_, std::move(out));
   }
 
+  // FlatMap whose outputs land in caller-owned per-partition state
+  // instead of a new dataset: `fn(partition, record)` runs for every
+  // record on its partition's task and returns how many records it
+  // emitted. Priced exactly like the FlatMap it stands for.
+  template <typename F>
+  void FlatMapInto(F fn, const char* label) const {
+    std::vector<uint64_t> in_counts(num_partitions(), 0);
+    std::vector<uint64_t> out_counts(num_partitions(), 0);
+    common::CancellationToken& cancel = ctx_->cancellation();
+    RunPerPartition(label, [&](int p) {
+      const auto& src = (*partitions_)[p];
+      for (const T& rec : src) {
+        if (cancel.CheckCancelled()) break;
+        out_counts[p] += fn(p, rec);
+      }
+      in_counts[p] = src.size();
+    });
+    ChargePerPartition(label, in_counts, out_counts);
+  }
+
+  // Prices a narrow stage that a kernel fused into its neighbours: the
+  // model keeps charging it as the stage of its own it once was, with
+  // the records it would have read and written per partition.
+  void ChargeStage(const char* label, const std::vector<uint64_t>& in_counts,
+                   const std::vector<uint64_t>& out_counts) const {
+    ChargePerPartition(label, in_counts, out_counts);
+  }
+
   // Keeps records satisfying `pred` (narrow).
   template <typename P>
   Dataset<T> Filter(P pred, const char* label = "Filter") const {
@@ -524,6 +552,12 @@ class Dataset {
       });
     }
     for (const uint64_t b : build.state_bytes_) build.bytes_ += b;
+    // Every routed record enters the exchange. Route sizes local ones
+    // only when traced, so the total is taken from the build instead: a
+    // build prepared untraced then replays the same bytes traced.
+    if (!build.exchange_.broadcast && !prepartitioned) {
+      build.exchange_.exchanged = build.bytes_;
+    }
     if (ctx_->telemetry().enabled()) {
       telemetry::Telemetry& tel = ctx_->telemetry();
       tel.tracer().AddSpan(std::string(label) + "/PrepareBuild",

@@ -7,11 +7,13 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/cancellation.h"
 #include "dataflow/flat_build_table.h"
 #include "dataflow/partitioning_audit.h"
+#include "query/expand_loop.h"
 #include "query/morphism.h"
 
 namespace gradoop::query {
@@ -121,33 +123,61 @@ void AppendValueKey(const EmbeddingBatch& b, uint32_t row,
   }
 }
 
-// Per-row routing key of one join side.
-using RowKeyFn =
-    std::function<void(const EmbeddingBatch&, uint32_t, std::string*)>;
+// Places a row by its join key: std::hash<std::string> over the key's
+// bytes (AppendIdKey / AppendValueKey), the hash the row engine places
+// the same row by. An id key of up to kInline columns is hashed from a
+// stack buffer with no string built; a value key is encoded into a
+// string the placer reuses. Not thread-safe: one placer per routing loop.
+class KeyPlacer {
+ public:
+  KeyPlacer(bool id_join, std::vector<int> columns)
+      : id_join_(id_join), columns_(std::move(columns)) {}
+
+  size_t Hash(const EmbeddingBatch& b, uint32_t row) {
+    const size_t k = columns_.size();
+    if (id_join_ && k <= kInline) {
+      uint64_t ids[kInline];
+      for (size_t i = 0; i < k; ++i) ids[i] = b.IdAt(columns_[i], row);
+      return std::hash<std::string_view>{}(std::string_view(
+          reinterpret_cast<const char*>(ids), k * sizeof(uint64_t)));
+    }
+    key_.clear();
+    if (id_join_) {
+      AppendIdKey(b, row, columns_, &key_);
+    } else {
+      AppendValueKey(b, row, columns_, &key_);
+    }
+    return std::hash<std::string>{}(key_);
+  }
+
+ private:
+  static constexpr size_t kInline = 8;
+  bool id_join_;
+  std::vector<int> columns_;
+  std::string key_;
+};
 
 // Scatters the active rows of every batch to hash(key) % p, compacting
 // them into per-target sub-batches. Placement is the row engine's.
 BatchDataset ScatterBatches(const BatchDataset& data,
                             std::vector<uint8_t> flags, int props,
-                            RowKeyFn key_of, const char* label) {
+                            KeyPlacer placer, const char* label) {
   const int p = data.num_partitions();
   return data.ScatterShuffle(
-      [flags = std::move(flags), props, key_of = std::move(key_of), p](
+      [flags = std::move(flags), props, placer = std::move(placer), p,
+       rows_by_target = std::vector<std::vector<uint32_t>>(
+           static_cast<size_t>(p))](
           const EmbeddingBatch& b, int /*source*/,
-          std::vector<std::pair<int, EmbeddingBatch>>* frags) {
+          std::vector<std::pair<int, EmbeddingBatch>>* frags) mutable {
         // Two passes: route every active row first, then compact each
         // target's rows with one column-major bulk gather (AppendRows)
-        // instead of row-at-a-time appends.
-        const std::hash<std::string> hasher;
-        std::vector<std::vector<uint32_t>> rows_by_target(
-            static_cast<size_t>(p));
-        std::string key;
+        // instead of row-at-a-time appends. The row lists are reused
+        // from batch to batch.
+        for (std::vector<uint32_t>& rows : rows_by_target) rows.clear();
         const uint32_t active = b.ActiveRows();
         for (uint32_t i = 0; i < active; ++i) {
           const uint32_t row = b.ActiveRow(i);
-          key.clear();
-          key_of(b, row, &key);
-          const size_t target = hasher(key) % static_cast<size_t>(p);
+          const size_t target = placer.Hash(b, row) % static_cast<size_t>(p);
           rows_by_target[target].push_back(row);
         }
         for (int target = 0; target < p; ++target) {
@@ -165,14 +195,12 @@ BatchDataset ScatterBatches(const BatchDataset& data,
 // engine's elided join sides — under GRADOOP_AUDIT_PARTITIONING every
 // *active row* is re-hashed and the process hard-fails on the first
 // misplaced one; telemetry records what the elision saved.
-BatchDataset AdoptBatches(const BatchDataset& data, const RowKeyFn& key_of,
+BatchDataset AdoptBatches(const BatchDataset& data, KeyPlacer placer,
                           const char* label) {
   const int p = data.num_partitions();
   if (dfl::PartitioningAuditEnabled()) {
-    const std::hash<std::string> hasher;
     uint64_t checked = 0;
     uint64_t misplaced = 0;
-    std::string key;
     for (int i = 0; i < p; ++i) {
       // cancellation: opt-in partitioning audit must re-hash every row
       // even while unwinding — a partial check could miss the violation.
@@ -180,11 +208,9 @@ BatchDataset AdoptBatches(const BatchDataset& data, const RowKeyFn& key_of,
         const uint32_t active = b.ActiveRows();
         for (uint32_t j = 0; j < active; ++j) {
           ++checked;
-          key.clear();
-          key_of(b, b.ActiveRow(j), &key);
-          if (p != 0 &&
-              hasher(key) % static_cast<size_t>(p) !=
-                  static_cast<size_t>(i)) {
+          if (p != 0 && placer.Hash(b, b.ActiveRow(j)) %
+                                static_cast<size_t>(p) !=
+                            static_cast<size_t>(i)) {
             ++misplaced;
           }
         }
@@ -359,8 +385,6 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
 // Shared tail of the two join kernels: exchange (scatter / adopt /
 // broadcast, matching HashJoin's strategies), then build+probe.
 BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
-                          const RowKeyFn& left_key_of,
-                          const RowKeyFn& right_key_of,
                           const std::vector<int>& left_columns,
                           const std::vector<int>& right_columns,
                           bool id_join, const MergeParams& mp,
@@ -371,16 +395,17 @@ BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
   if (strategy == dfl::JoinStrategy::kRepartition) {
     left_exchanged =
         hints.left_prepartitioned
-            ? AdoptBatches(left.data, left_key_of, label)
+            ? AdoptBatches(left.data, KeyPlacer(id_join, left_columns), label)
             : ScatterBatches(left.data, FlagsOf(left.meta),
-                             left.meta.property_column_count(), left_key_of,
-                             label);
+                             left.meta.property_column_count(),
+                             KeyPlacer(id_join, left_columns), label);
     right_exchanged =
         hints.right_prepartitioned
-            ? AdoptBatches(right.data, right_key_of, label)
+            ? AdoptBatches(right.data, KeyPlacer(id_join, right_columns),
+                           label)
             : ScatterBatches(right.data, FlagsOf(right.meta),
-                             right.meta.property_column_count(), right_key_of,
-                             label);
+                             right.meta.property_column_count(),
+                             KeyPlacer(id_join, right_columns), label);
   } else {
     // Broadcast: the left side stays in place, the right (build) side
     // replicates to every worker.
@@ -423,15 +448,19 @@ BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
               mp, dst, st, cancel);
           return;
         }
-        auto materialize = [](const RowKeyFn& key_of) {
-          return [&key_of](const EmbeddingBatch& b, uint32_t row) {
+        auto materialize = [id_join](const std::vector<int>& columns) {
+          return [id_join, &columns](const EmbeddingBatch& b, uint32_t row) {
             std::string key;
-            key_of(b, row, &key);
+            if (id_join) {
+              AppendIdKey(b, row, columns, &key);
+            } else {
+              AppendValueKey(b, row, columns, &key);
+            }
             return key;
           };
         };
-        BuildProbeMerge<std::string>(ls, rs, materialize(left_key_of),
-                                     materialize(right_key_of), mp, dst, st,
+        BuildProbeMerge<std::string>(ls, rs, materialize(left_columns),
+                                     materialize(right_columns), mp, dst, st,
                                      cancel);
       },
       label);
@@ -636,19 +665,9 @@ BatchSet JoinBatches(const BatchSet& left, const BatchSet& right,
   assert(left_columns.size() == right_columns.size());
   const MergeParams mp(merged_meta, left.meta.id_column_count(), semantics,
                        residual, batch_size);
-  const RowKeyFn left_key_of = [left_columns](const EmbeddingBatch& b,
-                                              uint32_t row,
-                                              std::string* key) {
-    AppendIdKey(b, row, left_columns, key);
-  };
-  const RowKeyFn right_key_of = [right_columns](const EmbeddingBatch& b,
-                                                uint32_t row,
-                                                std::string* key) {
-    AppendIdKey(b, row, right_columns, key);
-  };
-  return ExchangeAndMerge(left, right, left_key_of, right_key_of,
-                          left_columns, right_columns, /*id_join=*/true, mp,
-                          strategy, hints, "JoinEmbeddings");
+  return ExchangeAndMerge(left, right, left_columns, right_columns,
+                          /*id_join=*/true, mp, strategy, hints,
+                          "JoinEmbeddings");
 }
 
 BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
@@ -692,40 +711,146 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
       prune(right, right_key_columns, "ValueJoinPruneRight"), right.meta};
   const MergeParams mp(merged_meta, left.meta.id_column_count(), semantics,
                        residual, batch_size);
-  const RowKeyFn left_key_of = [left_key_columns](const EmbeddingBatch& b,
-                                                  uint32_t row,
-                                                  std::string* key) {
-    AppendValueKey(b, row, left_key_columns, key);
-  };
-  const RowKeyFn right_key_of = [right_key_columns](const EmbeddingBatch& b,
-                                                    uint32_t row,
-                                                    std::string* key) {
-    AppendValueKey(b, row, right_key_columns, key);
-  };
-  return ExchangeAndMerge(pruned_left, pruned_right, left_key_of,
-                          right_key_of, left_key_columns, right_key_columns,
-                          /*id_join=*/false, mp, strategy, hints,
-                          "ValueJoinEmbeddings");
+  return ExchangeAndMerge(pruned_left, pruned_right, left_key_columns,
+                          right_key_columns, /*id_join=*/false, mp, strategy,
+                          hints, "ValueJoinEmbeddings");
 }
 
-BatchSet ExpandBatches(const BatchSet& input,
-                       const dataflow::Dataset<epgm::Edge>& edges,
+namespace {
+
+// How a batch-engine frontier record reads its input row: in place, as
+// (batch, row) into the input dataset, which outlives the expansion. The
+// row's modelled wire size is taken once, when the frontier starts.
+struct BatchRow {
+  const EmbeddingBatch* batch = nullptr;
+  uint32_t row = 0;
+  uint32_t bytes = 0;  // RowSerializedSize(row)
+
+  uint64_t IdAt(int column) const { return batch->IdAt(column, row); }
+  bool ContainsIdAt(uint64_t id, const std::vector<int>& columns) const {
+    for (const int c : columns) {
+      if (batch->IdAt(c, row) == id) return true;
+    }
+    return false;
+  }
+  bool PathContainsEdge(uint64_t id,
+                        const std::vector<int>& path_columns) const {
+    bool found = false;
+    for (const int c : path_columns) {
+      batch->ForEachPathEdge(c, row,
+                             [&](uint64_t edge) { found |= edge == id; });
+    }
+    return found;
+  }
+  size_t SerializedSize() const { return bytes; }
+};
+
+// One partition's output: finished batches and the builder the next
+// completed path lands in, which carries over from one hop to the next.
+struct BatchSink {
+  std::vector<EmbeddingBatch> batches;
+  EmbeddingBatch builder;
+  uint64_t rows = 0;
+};
+
+}  // namespace
+
+BatchSet ExpandBatches(const BatchSet& input, const EdgeBuildSource& edges,
                        int start_column, int bound_end_column,
                        const EmbeddingMetaData& result_meta, int lower_bound,
                        int upper_bound, bool reverse,
                        const MorphismSetting& semantics,
                        const std::vector<cypher::CnfClause>& residual,
                        int batch_size) {
-  // The frontier iteration is inherently row-dependent (each path grows
-  // from its own end vertex), so the batch engine compacts to rows at
-  // this operator's boundary, runs the row engine's bulk iteration, and
-  // re-batches the emissions (docs/vectorized.md).
-  EmbeddingSet rows = BatchesToRows(input);
-  EmbeddingSet expanded =
-      ExpandEmbeddings(rows, edges, start_column, bound_end_column,
-                       result_meta, lower_bound, upper_bound, reverse,
-                       semantics, residual);
-  return RowsToBatches(expanded, batch_size);
+  assert(start_column >= 0 && "expansion start must be bound");
+  assert(batch_size > 0);
+  using Record = expand_loop::FrontierRecord<BatchRow>;
+  const bool end_bound = bound_end_column >= 0;
+  const expand_loop::HopParams params{
+      .start_column = start_column,
+      .bound_end_column = bound_end_column,
+      .lower_bound = lower_bound,
+      .upper_bound = upper_bound,
+      .reverse = reverse,
+      .semantics = semantics,
+      .base_edge_columns = input.meta.EdgeColumns(),
+      .base_path_columns = input.meta.PathColumns()};
+
+  // Initial frontier: every active input row positioned at its start
+  // binding with an empty path. This one stage stands for the
+  // BatchesToRows conversion and the ExpandInit map it fed, and the
+  // model still charges both.
+  dfl::Dataset<Record> frontier = input.data.FlatMap<Record>(
+      [start_column](const EmbeddingBatch& b, std::vector<Record>* out) {
+        const uint32_t active = b.ActiveRows();
+        for (uint32_t i = 0; i < active; ++i) {
+          Record r;
+          const uint32_t row = b.ActiveRow(i);
+          r.row = BatchRow{&b, row,
+                           static_cast<uint32_t>(b.RowSerializedSize(row))};
+          r.end = b.IdAt(start_column, row);
+          out->push_back(r);
+        }
+      },
+      "BatchesToRows");
+  const int p = frontier.num_partitions();
+  std::vector<uint64_t> frontier_rows(static_cast<size_t>(p), 0);
+  for (int part = 0; part < p; ++part) {
+    frontier_rows[static_cast<size_t>(part)] = frontier.partition(part).size();
+  }
+  frontier.ChargeStage("ExpandInit", frontier_rows, frontier_rows);
+
+  // The completed row: the input row's cells, then the path column and
+  // (unless the end is bound) the end vertex column, pushed as a pending
+  // row that the morphism and the fused residual check before it commits.
+  const std::vector<uint8_t> flags = FlagsOf(result_meta);
+  const int props = result_meta.property_column_count();
+  const int path_column = input.meta.id_column_count();
+  std::vector<BatchSink> sinks(static_cast<size_t>(p));
+  for (BatchSink& sink : sinks) sink.builder = EmbeddingBatch(flags, props);
+  const MorphismPlan morphism(result_meta, semantics);
+  expand_loop::RunHops(
+      std::move(frontier), edges, params,
+      [&](int part, const Record& r,
+          const std::vector<uint64_t>& via) -> uint64_t {
+        BatchSink& sink = sinks[static_cast<size_t>(part)];
+        EmbeddingBatch& builder = sink.builder;
+        const EmbeddingBatch::RowMark mark = builder.Mark();
+        builder.AppendRowCells(*r.row.batch, r.row.row, 0);
+        builder.PushPath(path_column, via);
+        if (!end_bound) builder.PushId(path_column + 1, r.end);
+        const uint32_t pending = builder.num_rows();
+        if (!morphism.Satisfies(builder, pending) ||
+            !RowPassesClauses(residual, result_meta, builder, pending)) {
+          builder.Rollback(mark);
+          return 0;
+        }
+        builder.CommitRow();
+        ++sink.rows;
+        if (static_cast<int>(builder.num_rows()) >= batch_size) {
+          sink.batches.push_back(std::move(builder));
+          builder = EmbeddingBatch(flags, props);
+        }
+        return 1;
+      });
+
+  // Close every partition's last batch, and charge the RowsToBatches
+  // stage that re-batched the emitted rows: rows in, batches out.
+  auto out = std::make_shared<BatchDataset::Partitions>(static_cast<size_t>(p));
+  std::vector<uint64_t> rows(static_cast<size_t>(p), 0);
+  std::vector<uint64_t> batches(static_cast<size_t>(p), 0);
+  for (int part = 0; part < p; ++part) {
+    BatchSink& sink = sinks[static_cast<size_t>(part)];
+    if (sink.builder.num_rows() > 0) {
+      sink.batches.push_back(std::move(sink.builder));
+    }
+    rows[static_cast<size_t>(part)] = sink.rows;
+    batches[static_cast<size_t>(part)] = sink.batches.size();
+    (*out)[static_cast<size_t>(part)] = std::move(sink.batches);
+  }
+  BatchDataset data(input.data.context(), std::move(out));
+  data.ChargeStage("RowsToBatches", rows, batches);
+  return {std::move(data), result_meta};
 }
 
 }  // namespace gradoop::query

@@ -89,13 +89,16 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
                           const std::vector<cypher::CnfClause>& residual,
                           dataflow::JoinShuffleHints hints, int batch_size);
 
-// Variable-length expansion, batch-at-a-time at the boundaries: input
-// batches compact to rows, the row engine's bulk frontier iteration runs
-// (the traversal is inherently row-dependent), and the emissions
-// re-batch. See docs/vectorized.md for why this operator is the
-// deliberate exception to end-to-end columnar processing.
-BatchSet ExpandBatches(const BatchSet& input,
-                       const dataflow::Dataset<epgm::Edge>& edges,
+// Variable-length expansion over batches: ExpandEmbeddings' hop loop
+// (query/expand_loop.h) with a frontier that points into the input
+// batches, morphism checks that read their columns in place, and
+// completed paths appended straight into per-partition batch builders
+// that carry over from one hop to the next. Rows, row order and batch
+// boundaries are those of converting the input to rows, running
+// ExpandEmbeddings and re-batching, and so are the model's charges: the
+// BatchesToRows and RowsToBatches stages that conversion ran are still
+// priced, with the same per-partition counts.
+BatchSet ExpandBatches(const BatchSet& input, const EdgeBuildSource& edges,
                        int start_column, int bound_end_column,
                        const EmbeddingMetaData& result_meta, int lower_bound,
                        int upper_bound, bool reverse,

@@ -339,6 +339,23 @@ void EmbeddingBatch::AppendRow(const Embedding& embedding) {
   CommitRow();
 }
 
+size_t EmbeddingBatch::RowSerializedSize(uint32_t row) const {
+  const int columns = num_id_columns();
+  const int props = cols_->property_columns;
+  // The three length headers, one fixed-width entry per id column, each
+  // path segment (u32 length + 8 bytes per id) and each length-prefixed
+  // property cell.
+  size_t bytes = 3 * sizeof(uint32_t) + columns * Embedding::kEntryWidth;
+  for (int c = 0; c < columns; ++c) {
+    if (IsPathColumn(c)) {
+      bytes += 4 + 8 * ReadUint32(cols_->path_pool, PayloadAt(c, row));
+    }
+  }
+  const size_t base = static_cast<size_t>(row) * props;
+  for (int c = 0; c < props; ++c) bytes += 4 + cols_->prop_lens[base + c];
+  return bytes;
+}
+
 Embedding EmbeddingBatch::RowAt(uint32_t row) const {
   Embedding out;
   const int columns = num_id_columns();
@@ -346,19 +363,7 @@ Embedding EmbeddingBatch::RowAt(uint32_t row) const {
   // The row footprint is knowable up front: reserve the row's buffer
   // exactly once, then transplant path segments and property cells
   // verbatim — no decode/re-encode round trips.
-  size_t path_bytes = 0;
-  for (int c = 0; c < columns; ++c) {
-    if (IsPathColumn(c)) {
-      path_bytes +=
-          4 + 8 * ReadUint32(cols_->path_pool, PayloadAt(c, row));
-    }
-  }
-  size_t prop_bytes = 0;
-  const size_t base = static_cast<size_t>(row) * props;
-  for (int c = 0; c < props; ++c) {
-    prop_bytes += 4 + cols_->prop_lens[base + c];
-  }
-  out.Reserve(columns * Embedding::kEntryWidth + path_bytes + prop_bytes);
+  out.Reserve(RowSerializedSize(row) - 3 * sizeof(uint32_t));
   for (int c = 0; c < columns; ++c) {
     if (IsPathColumn(c)) {
       const size_t offset = PayloadAt(c, row);

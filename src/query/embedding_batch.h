@@ -177,6 +177,9 @@ class EmbeddingBatch {
   // in column order followed by the property cells in column order — the
   // exact append order of the row kernels.
   Embedding RowAt(uint32_t row) const;
+  // RowAt(row).SerializedSize(), without materialising the row: what the
+  // row-based record of this row puts on the modelled wire.
+  size_t RowSerializedSize(uint32_t row) const;
 
   // --- accounting ------------------------------------------------------
 

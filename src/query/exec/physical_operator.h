@@ -406,6 +406,8 @@ class ExpandOp final : public PhysicalOperator {
   int bound_end_column_ = -1;
   bool reverse_ = false;
   uint64_t edge_input_estimate_ = 0;
+
+  EdgeBuildSource EdgeSource(const ExecEnv& env) const;
 };
 
 // Standalone filter stage; only compiled when filter fusion is disabled

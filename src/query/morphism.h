@@ -33,6 +33,13 @@ class MorphismPlan {
                  [&e](int c, auto push) { e.ForEachPathEdge(c, push); });
   }
 
+  // Row `row` of `b`; also valid for a builder's pending row (cells
+  // pushed, CommitRow not yet called).
+  bool Satisfies(const EmbeddingBatch& b, uint32_t row) const {
+    return Check([&](int c) { return b.IdAt(c, row); },
+                 [&](int c, auto push) { b.ForEachPathEdge(c, row, push); });
+  }
+
   bool PairSatisfies(const Embedding& left, const Embedding& right) const {
     const int width = left.NumIdEntries();
     return Check(

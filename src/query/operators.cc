@@ -4,6 +4,7 @@
 #include <cassert>
 #include <optional>
 
+#include "query/expand_loop.h"
 #include "query/morphism.h"
 
 namespace gradoop::query {
@@ -279,180 +280,78 @@ EmbeddingSet SelectEmbeddings(const EmbeddingSet& input,
 
 namespace {
 
-// One in-flight path of a variable-length expansion (§3.1's bulk-iteration
-// working set). Instead of copying the input embedding and the whole path
-// every hop, a record links to the record it grew from: the path is the
-// chain of `edge`/`end` pairs back to the hop-0 record, at most
-// `upper_bound` long. Rows are materialised only on emission.
-struct FrontierRecord {
-  const Embedding* row = nullptr;          // the input embedding
-  const FrontierRecord* parent = nullptr;  // one hop shorter; null at hop 0
-  uint64_t edge = 0;                       // edge walked by the last hop
-  uint64_t end = 0;                        // current path end vertex
-  uint32_t hops = 0;
+// How a row-engine frontier record reads its input row: in place, through
+// a pointer into the input dataset, which outlives the expansion.
+struct EmbeddingRow {
+  const Embedding* row = nullptr;
 
-  // Modelled wire size: the row-based working record this stands for —
-  // the input embedding, the via list (u32 length + 8 bytes per id of
-  // its 2·hops-1 alternating edge/vertex ids) and the 8-byte end vertex.
-  size_t SerializedSize() const {
-    const size_t via = hops == 0 ? 0 : 2 * hops - 1;
-    return row->SerializedSize() + sizeof(uint32_t) + 8 * via + 8;
+  uint64_t IdAt(int column) const { return row->IdAt(column); }
+  bool ContainsIdAt(uint64_t id, const std::vector<int>& columns) const {
+    return row->ContainsIdAt(id, columns);
   }
+  bool PathContainsEdge(uint64_t id,
+                        const std::vector<int>& path_columns) const {
+    return row->PathContains(id, path_columns, /*edges=*/true);
+  }
+  size_t SerializedSize() const { return row->SerializedSize(); }
 };
-
-// The alternating edge/vertex ids walked from the start to `r.end`
-// (exclusive), in walk order.
-std::vector<uint64_t> ViaOf(const FrontierRecord& r) {
-  std::vector<uint64_t> via(r.hops == 0 ? 0 : 2 * r.hops - 1);
-  // cancellation: parent chain, at most upper_bound records long.
-  for (const FrontierRecord* n = &r; n->hops > 0; n = n->parent) {
-    const size_t at = 2 * (n->hops - 1);
-    via[at] = n->edge;
-    if (n != &r) via[at + 1] = n->end;
-  }
-  return via;
-}
 
 }  // namespace
 
 EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
-                              const dataflow::Dataset<epgm::Edge>& edges,
-                              int start_column, int bound_end_column,
+                              const EdgeBuildSource& edges, int start_column,
+                              int bound_end_column,
                               const EmbeddingMetaData& result_meta,
                               int lower_bound, int upper_bound, bool reverse,
                               const MorphismSetting& semantics,
                               const std::vector<cypher::CnfClause>& residual) {
   assert(start_column >= 0 && "expansion start must be bound");
+  using Record = expand_loop::FrontierRecord<EmbeddingRow>;
   const bool end_bound = bound_end_column >= 0;
-
-  // Columns of the *input* layout, read off the input's compiled meta
-  // (the result meta additionally holds the fresh path/end columns).
-  const std::vector<int> base_edge_columns = input.meta.EdgeColumns();
-  const std::vector<int> base_path_columns = input.meta.PathColumns();
-  const bool vertex_iso = semantics.vertex == MatchSemantics::kIsomorphism;
-  const bool edge_iso = semantics.edge == MatchSemantics::kIsomorphism;
-
-  // Materialises the embedding of a completed path of k >= 0 hops: the
-  // input row copied once into a buffer sized for the path column and
-  // (unless the end is bound) the end vertex column.
-  const MorphismPlan morphism(result_meta, semantics);
-  auto emit = [=, &morphism](const FrontierRecord& r,
-                             std::vector<Embedding>* out) {
-    if (end_bound && r.row->IdAt(bound_end_column) != r.end) return;
-    std::vector<uint64_t> via = ViaOf(r);
-    if (reverse) std::reverse(via.begin(), via.end());
-    Embedding result = r.row->CopyWithRoom(
-        Embedding::kEntryWidth + sizeof(uint32_t) + 8 * via.size() +
-        (end_bound ? 0 : Embedding::kEntryWidth));
-    result.AppendPath(via);
-    if (!end_bound) result.AppendId(r.end);
-    if (!morphism.Satisfies(result)) return;
-    if (!PassesResidual(residual, result_meta, result)) return;
-    out->push_back(std::move(result));
-  };
+  const expand_loop::HopParams params{
+      .start_column = start_column,
+      .bound_end_column = bound_end_column,
+      .lower_bound = lower_bound,
+      .upper_bound = upper_bound,
+      .reverse = reverse,
+      .semantics = semantics,
+      .base_edge_columns = input.meta.EdgeColumns(),
+      .base_path_columns = input.meta.PathColumns()};
 
   // Initial frontier: every input embedding positioned at its start
-  // binding with an empty path. The records point into `input`, which
-  // outlives the call.
-  dataflow::Dataset<FrontierRecord> frontier = input.data.Map(
+  // binding with an empty path.
+  dataflow::Dataset<Record> frontier = input.data.Map(
       [start_column](const Embedding& e) {
-        FrontierRecord r;
-        r.row = &e;
+        Record r;
+        r.row = EmbeddingRow{&e};
         r.end = e.IdAt(start_column);
         return r;
       },
       "ExpandInit");
 
-  std::vector<dataflow::Dataset<Embedding>> emitted;
-
-  if (lower_bound == 0) {
-    emitted.push_back(frontier.FlatMap<Embedding>(emit, "ExpandEmitZero"));
-  }
-
-  // The edge side is loop-invariant: it is exchanged on the join key and
-  // hashed once, on the first hop that has a frontier to probe with. Each
-  // hop's probe still charges the model one edge exchange and one build,
-  // exactly as a fresh per-hop HashJoin would.
-  const auto edge_key = [reverse](const epgm::Edge& e) {
-    return reverse ? e.target_id : e.source_id;
-  };
-  std::optional<dataflow::JoinBuildSide<epgm::Edge, uint64_t>> edge_table;
-  // Every hop's frontier as it entered its probe: the exchange routes
-  // pointers to these records, so the next frontier's parent links point
-  // into them.
-  std::vector<dataflow::Dataset<FrontierRecord>> probed;
-
-  common::CancellationToken& cancel = input.data.context()->cancellation();
-  for (int k = 1; k <= upper_bound; ++k) {
-    // Each hop runs a full join stage, so one boundary check per hop
-    // bounds the loop's cancel latency to one stage.
-    if (cancel.CancelledOrExpired()) break;
-    uint64_t frontier_size = 0;
-    // cancellation: O(partitions) size walk, no per-record work.
-    for (int p = 0; p < frontier.num_partitions(); ++p) {
-      frontier_size += frontier.partition(p).size();
-    }
-    if (frontier_size == 0) break;  // no more valid paths
-    if (!edge_table) {
-      edge_table = edges.PrepareBuild(
-          edge_key, dataflow::JoinStrategy::kRepartition, "ExpandStep");
-    }
-
-    // 1-hop expansion: probe the edge table with the frontier on the
-    // current end vertex, enforcing morphism constraints on the grown path.
-    probed.push_back(frontier);
-    frontier = frontier.ProbeJoin<FrontierRecord>(
-        *edge_table, [](const FrontierRecord& r) { return r.end; },
-        [=](const FrontierRecord& s, const epgm::Edge& e,
-            std::vector<FrontierRecord>* out) {
-          const uint64_t new_end = reverse ? e.source_id : e.target_id;
-          if (edge_iso) {
-            // The new edge must not repeat within the path nor collide
-            // with edges already bound in the base embedding.
-            // cancellation: parent chain, at most upper_bound records.
-            for (const FrontierRecord* n = &s; n->hops > 0; n = n->parent) {
-              if (n->edge == e.id) return;
-            }
-            if (s.row->ContainsIdAt(e.id, base_edge_columns)) return;
-            if (s.row->PathContains(e.id, base_path_columns, true)) return;
-          }
-          if (vertex_iso) {
-            // Path-local distinctness: the new end must not revisit an
-            // interior vertex, and must not return to the path's start —
-            // unless it is the bound end binding (cycle queries where the
-            // path's endpoints are the same query variable). Distinctness
-            // of the end against other vertex *columns* is enforced at
-            // emission by SatisfiesMorphism; path interiors are free, as
-            // they bind no query variable.
-            if (new_end == s.end) return;  // data self-loop revisits the end
-            // cancellation: parent chain, at most upper_bound records.
-            for (const FrontierRecord* n = s.parent;
-                 n != nullptr && n->hops > 0; n = n->parent) {
-              if (n->end == new_end) return;
-            }
-            const bool is_bound_end =
-                end_bound && s.row->IdAt(bound_end_column) == new_end;
-            if (!is_bound_end && new_end == s.row->IdAt(start_column)) {
-              return;
-            }
-          }
-          FrontierRecord next;
-          next.row = s.row;
-          next.parent = &s;
-          next.edge = e.id;
-          next.end = new_end;
-          next.hops = s.hops + 1;
-          out->push_back(next);
-        },
-        "ExpandStep");
-
-    if (k >= lower_bound) {
-      emitted.push_back(frontier.FlatMap<Embedding>(emit, "ExpandEmit"));
-    }
-  }
-  // One pass: each hop's emissions are moved, not copied, into place.
-  return {dataflow::Dataset<Embedding>::Concat(input.data.context(),
-                                               std::move(emitted)),
+  // Completed paths, appended per partition in hop order: the layout the
+  // union of the per-hop emissions has.
+  auto out = std::make_shared<dataflow::Dataset<Embedding>::Partitions>(
+      input.data.num_partitions());
+  const MorphismPlan morphism(result_meta, semantics);
+  const size_t tail_bytes = end_bound ? 0 : Embedding::kEntryWidth;
+  expand_loop::RunHops(
+      std::move(frontier), edges, params,
+      [&](int part, const Record& r,
+          const std::vector<uint64_t>& via) -> uint64_t {
+        // The input row copied once into a buffer sized for the path
+        // column and (unless the end is bound) the end vertex column.
+        Embedding result = r.row.row->CopyWithRoom(
+            Embedding::kEntryWidth + sizeof(uint32_t) + 8 * via.size() +
+            tail_bytes);
+        result.AppendPath(via);
+        if (!end_bound) result.AppendId(r.end);
+        if (!morphism.Satisfies(result)) return 0;
+        if (!PassesResidual(residual, result_meta, result)) return 0;
+        (*out)[static_cast<size_t>(part)].push_back(std::move(result));
+        return 1;
+      });
+  return {dataflow::Dataset<Embedding>(input.data.context(), std::move(out)),
           result_meta};
 }
 

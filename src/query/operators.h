@@ -1,12 +1,15 @@
 #ifndef GRADOOP_QUERY_OPERATORS_H_
 #define GRADOOP_QUERY_OPERATORS_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cypher/query_graph.h"
 #include "dataflow/dataset.h"
 #include "epgm/elements.h"
+#include "epgm/indexed_logical_graph.h"
 #include "query/embedding.h"
 #include "query/embedding_meta_data.h"
 #include "query/match_semantics.h"
@@ -105,15 +108,26 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
                                      residual = {},
                                  dataflow::JoinShuffleHints hints = {});
 
+// Supplies Expand's edge side: the expanded edge types as a build side
+// keyed on the endpoint each hop leaves from (the source id, the target
+// id when reversed). Called on the first hop that has a frontier to
+// probe with, so an Expand whose input is empty never prepares it. The
+// engine serves it from IndexedLogicalGraph::EdgeBuild, which prepares
+// it once per graph.
+using EdgeBuildSource =
+    std::function<std::shared_ptr<const epgm::EdgeBuildSide>()>;
+
 // ExpandEmbeddings: evaluates a variable-length path expression by bulk
 // iteration (§3.1). Starting from the embeddings of `input` positioned at
 // `start_column`, repeatedly performs 1-hop expansions by joining the
-// frontier with `edges`, keeping only paths that satisfy the morphism
-// semantics, and unions an emission into the result once the iteration
-// count reaches `lower_bound`. Terminates at `upper_bound` or when no
-// valid path remains. The host exchanges and hashes `edges` once per call
-// and probes that build side every hop; the cost model still charges one
-// edge exchange and one build per hop, as a join per superstep would.
+// frontier with the edge side, keeping only paths that satisfy the
+// morphism semantics, and unions an emission into the result once the
+// iteration count reaches `lower_bound`. Terminates at `upper_bound` or
+// when no valid path remains. The edge side is exchanged and hashed
+// before the first hop (by `edges`) and probed every hop; the cost model
+// still charges one edge exchange and one build per hop, as a join per
+// superstep would. The hop loop (query/expand_loop.h) is the batch
+// engine's ExpandBatches too.
 //
 // `reverse` expands against edge direction (used when the plan binds the
 // path's target first). A non-negative `bound_end_column` closes a cycle:
@@ -121,8 +135,8 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
 // column; otherwise `result_meta` appends a fresh vertex column after the
 // path column. A `lower_bound` of 0 admits the empty path (end == start).
 EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
-                              const dataflow::Dataset<epgm::Edge>& edges,
-                              int start_column, int bound_end_column,
+                              const EdgeBuildSource& edges, int start_column,
+                              int bound_end_column,
                               const EmbeddingMetaData& result_meta,
                               int lower_bound, int upper_bound, bool reverse,
                               const MorphismSetting& semantics,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "query/embedding.h"
 #include "query/embedding_batch.h"
 #include "query/embedding_meta_data.h"
@@ -318,6 +321,45 @@ TEST(EmbeddingWireGoldenTest, RowAtInterleavesIdAndPathColumns) {
                        2);
   again.AppendRow(b.RowAt(1));
   EXPECT_EQ(again.RowAt(0), b.RowAt(1));
+}
+
+// A row's wire size as an Embedding, read off the columns: equal to the
+// materialised row's for id, path and property columns, and addressed by
+// physical row index through a selection vector.
+TEST(EmbeddingBatchTest, RowSerializedSizeMatchesRowAt) {
+  EmbeddingBatch b({Embedding::kIdFlag, Embedding::kPathFlag,
+                    Embedding::kIdFlag, Embedding::kPathFlag},
+                   2);
+  const std::vector<std::vector<uint64_t>> paths = {
+      {}, {3}, {3, 4, 5}, {6, 7, 8, 9, 10}};
+  for (uint32_t row = 0; row < 8; ++row) {
+    b.PushId(0, 100 + row);
+    b.PushPath(1, paths[row % 4]);
+    b.PushId(2, 200 + row);
+    b.PushPath(3, paths[(row + 1) % 4]);
+    b.PushProperty(row % 2 == 0 ? PropertyValue(std::string(row, 'x'))
+                                : PropertyValue::Null());
+    b.PushProperty(PropertyValue(static_cast<int64_t>(row)));
+    b.CommitRow();
+  }
+  for (uint32_t row = 0; row < b.num_rows(); ++row) {
+    EXPECT_EQ(b.RowSerializedSize(row), b.RowAt(row).SerializedSize())
+        << "row " << row;
+  }
+  const EmbeddingBatch selected = b.WithSelection({6, 1, 4});
+  for (uint32_t i = 0; i < selected.ActiveRows(); ++i) {
+    const uint32_t row = selected.ActiveRow(i);
+    EXPECT_EQ(selected.RowSerializedSize(row),
+              selected.RowAt(row).SerializedSize())
+        << "row " << row;
+  }
+  // Ids only, no properties: the headers and one entry per column.
+  EmbeddingBatch ids({Embedding::kIdFlag, Embedding::kIdFlag}, 0);
+  ids.PushId(0, 1);
+  ids.PushId(1, 2);
+  ids.CommitRow();
+  EXPECT_EQ(ids.RowSerializedSize(0), ids.RowAt(0).SerializedSize());
+  EXPECT_EQ(ids.RowSerializedSize(0), 3 * sizeof(uint32_t) + 18);
 }
 
 TEST(EmbeddingTest, MovedFromEmbeddingIsEmpty) {

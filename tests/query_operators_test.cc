@@ -4,10 +4,12 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
 
+#include "common/random.h"
 #include "cypher/parser.h"
 #include "cypher/query_graph.h"
 #include "epgm/indexed_logical_graph.h"
@@ -106,6 +108,16 @@ EmbeddingSet ValueJoin(const EmbeddingSet& left, const EmbeddingSet& right,
                              semantics);
 }
 
+// Expand's edge side prepared afresh by every call that probes it, as
+// the engine's graph-wide cache prepares it once.
+EdgeBuildSource PerCallEdgeBuild(const dataflow::Dataset<Edge>& edges,
+                                 bool reverse) {
+  return [edges, reverse] {
+    return std::make_shared<const epgm::EdgeBuildSide>(
+        epgm::PrepareEdgeBuild(edges, reverse, "ExpandStep"));
+  };
+}
+
 EmbeddingSet Expand(const EmbeddingSet& input,
                     const dataflow::Dataset<Edge>& edges,
                     const std::string& start, const std::string& path_var,
@@ -116,8 +128,9 @@ EmbeddingSet Expand(const EmbeddingSet& input,
   EmbeddingMetaData meta = input.meta;
   meta.AddIdColumn(path_var, EntryType::kPath);
   if (bound_end_column < 0) meta.AddIdColumn(end, EntryType::kVertex);
-  return ExpandEmbeddings(input, edges, start_column, bound_end_column, meta,
-                          lower, upper, reverse, semantics);
+  return ExpandEmbeddings(input, PerCallEdgeBuild(edges, reverse),
+                          start_column, bound_end_column, meta, lower, upper,
+                          reverse, semantics);
 }
 
 std::vector<uint64_t> SortedIds(const EmbeddingSet& set,
@@ -1134,6 +1147,130 @@ TEST(ExpandEmbeddingsTest, LongChainDistinctnessFollowsParentLinks) {
       EXPECT_EQ(actual, expected) << "reverse=" << reverse;
     }
   }
+}
+
+// --- batch-native expand ----------------------------------------------------
+
+// The batch engine's Expand against the row kernel between the two
+// conversions it replaced (BatchesToRows, ExpandEmbeddings, then
+// RowsToBatches): the same rows in the same order, the same batches per
+// partition, and the same stages, records and simulated seconds — over
+// inputs with and without selection vectors, batch sizes 1, 7 and 1024,
+// lower bounds 0 and 2, free and bound ends in both directions, all four
+// morphism settings, and with and without a fused residual.
+TEST(ExpandBatchesTest, MatchesRowKernelBetweenConversions) {
+  auto ctx = Ctx();
+  Random rng(5);
+  // 24 vertices and 72 knows edges, self-loops and parallel edges
+  // included.
+  std::vector<Edge> edge_list;
+  for (uint64_t i = 0; i < 72; ++i) {
+    const uint64_t source = 1 + rng.NextUint64(24);
+    const uint64_t target = 1 + rng.NextUint64(24);
+    edge_list.emplace_back(500 + i, "knows", source, target);
+  }
+  const auto edges = dataflow::Dataset<Edge>::FromVector(ctx, edge_list);
+  // Input layout [a, e0, b, p0 | a.x, b.x, a.name]: e0 and the path p0
+  // bind edges the expansion may collide with under edge isomorphism.
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  meta.AddIdColumn("e0", EntryType::kEdge);
+  meta.AddIdColumn("b", EntryType::kVertex);
+  meta.AddIdColumn("p0", EntryType::kPath);
+  meta.AddPropertyColumn("a", "x");
+  meta.AddPropertyColumn("b", "x");
+  meta.AddPropertyColumn("a", "name");
+  std::vector<Embedding> rows;
+  for (int i = 0; i < 40; ++i) {
+    Embedding e;
+    e.AppendId(1 + rng.NextUint64(24));
+    e.AppendId(500 + rng.NextUint64(72));
+    e.AppendId(1 + rng.NextUint64(24));
+    std::vector<uint64_t> path;
+    const uint64_t hops = rng.NextUint64(3);
+    for (uint64_t k = 0; k < hops; ++k) {
+      if (k > 0) path.push_back(1 + rng.NextUint64(24));
+      path.push_back(500 + rng.NextUint64(72));
+    }
+    e.AppendPath(path);
+    e.AppendProperty(PropertyValue(static_cast<int64_t>(rng.NextUint64(3))));
+    e.AppendProperty(
+        i % 5 == 0 ? PropertyValue::Null()
+                   : PropertyValue(static_cast<int64_t>(rng.NextUint64(3))));
+    e.AppendProperty(PropertyValue(std::string(i % 4, 'y')));
+    rows.push_back(std::move(e));
+  }
+  const EmbeddingSet row_input{
+      dataflow::Dataset<Embedding>::FromVector(ctx, std::move(rows)), meta};
+  const auto residual =
+      QG("MATCH (a)-[e0]->(b) WHERE a.x <= b.x RETURN *").CrossPredicates();
+  ASSERT_FALSE(residual.empty());
+  MorphismSetting vertex_iso_only = MorphismSetting::FullHomomorphism();
+  vertex_iso_only.vertex = MatchSemantics::kIsomorphism;
+
+  uint64_t emitted = 0;
+  for (const int batch_size : {1, 7, 1024}) {
+    const BatchSet batches = RowsToBatches(row_input, batch_size);
+    for (const bool selected : {false, true}) {
+      BatchSet input = batches;
+      if (selected) {
+        input.data = batches.data.Map(
+            [](const EmbeddingBatch& b) {
+              std::vector<uint32_t> keep;
+              for (uint32_t row = 0; row < b.num_rows(); ++row) {
+                if (row % 3 != 1) keep.push_back(row);
+              }
+              return b.WithSelection(std::move(keep));
+            },
+            "Select");
+      }
+      for (const int lower : {0, 2}) {
+        for (const bool end_bound : {false, true}) {
+          for (const bool reverse : {false, true}) {
+            EmbeddingMetaData result_meta = meta;
+            result_meta.AddIdColumn("p", EntryType::kPath);
+            if (!end_bound) result_meta.AddIdColumn("c", EntryType::kVertex);
+            const int start = meta.IdColumn("b");
+            const int bound = end_bound ? meta.IdColumn("a") : -1;
+            for (const MorphismSetting& semantics :
+                 {MorphismSetting::Neo4j(), MorphismSetting::FullIsomorphism(),
+                  MorphismSetting::FullHomomorphism(), vertex_iso_only}) {
+              for (const bool fused : {false, true}) {
+                const std::vector<cypher::CnfClause> clauses =
+                    fused ? residual : std::vector<cypher::CnfClause>{};
+                const EdgeBuildSource source =
+                    PerCallEdgeBuild(edges, reverse);
+                const ScanRun native = RunScan(*ctx, [&] {
+                  return ExpandBatches(input, source, start, bound,
+                                       result_meta, lower, 3, reverse,
+                                       semantics, clauses, batch_size);
+                });
+                const ScanRun composed = RunScan(*ctx, [&] {
+                  return RowsToBatches(
+                      ExpandEmbeddings(BatchesToRows(input), source, start,
+                                       bound, result_meta, lower, 3, reverse,
+                                       semantics, clauses),
+                      batch_size);
+                });
+                ExpectSameScan(
+                    native, composed,
+                    "batch " + std::to_string(batch_size) +
+                        (selected ? " selected" : "") + " lower " +
+                        std::to_string(lower) + (end_bound ? " bound" : "") +
+                        (reverse ? " reverse" : "") + " vertex " +
+                        std::to_string(static_cast<int>(semantics.vertex)) +
+                        " edge " +
+                        std::to_string(static_cast<int>(semantics.edge)) +
+                        (fused ? " residual" : ""));
+                for (const auto& part : native.rows) emitted += part.size();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(emitted, 0u);
 }
 
 }  // namespace
